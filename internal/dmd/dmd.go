@@ -62,17 +62,46 @@ type Decomposition struct {
 // available.
 var ErrTooFewSnapshots = errors.New("dmd: need at least 2 snapshot columns")
 
+var errNonPositiveDT = errors.New("dmd: Options.DT must be positive")
+
 // Compute runs exact DMD on data (P×T, columns are snapshots Δt apart).
+//
+// The fit runs in the space of the snapshot matrix's R factor. One
+// R-only Householder QR gives D = Q·R with Q never formed; X = D[:, :T−1],
+// Y = D[:, 1:] and the exact modes Φ all lie in range(Q), so
+//   - X's Σ and V are those of R_X = R[:, :T−1], and its U is Q·U_R;
+//   - Ã = Uᵀ·Y·V·Σ⁻¹ = U_Rᵀ·B with B = R[:, 1:]·V·Σ⁻¹;
+//   - Φ = Q·Φ̃ with Φ̃ = B·W, so the amplitude fit's ΦᴴΦ and DᵀΦ equal
+//     Φ̃ᴴΦ̃ and RᵀΦ̃: it runs on min(P,T) rows instead of P.
+//
+// Only Φ = Y·V·Σ⁻¹·W itself, which the modes carry, touches all P rows.
 func Compute(data *mat.Dense, opts Options) (*Decomposition, error) {
-	_, t := data.Dims()
+	if opts.DT <= 0 {
+		return nil, errNonPositiveDT
+	}
+	p, t := data.Dims()
 	if t < 2 {
 		return nil, ErrTooFewSnapshots
 	}
 	e, ws := opts.engine(), opts.Ws
-	x := mat.ColSliceWith(ws, data, 0, t-1)
-	s := svd.ComputeWith(e, ws, x)
-	mat.PutDense(ws, x)
-	return FromSVD(s, data, opts)
+	r := mat.QRRWith(ws, data) // min(p,t)×t
+	s := svd.ComputeWith(e, ws, mat.ColsView(r, 0, t-1))
+	// The SVHT aspect ratio is X's (p×(t−1)), not R_X's.
+	tr := truncate(ws, s, p, t-1, opts)
+	if tr == nil {
+		mat.PutDense(ws, r)
+		return &Decomposition{Modes: nil, P: p, T: t, DT: opts.DT, Rank: 0}, nil
+	}
+	b := mat.MulWith(e, ws, mat.ColsView(r, 1, t), tr.V) // min(p,t)×rank
+	divCols(b, tr.S)
+	atilde := mat.MulTWith(e, ws, tr.U, b) // rank×rank
+	yvs := mat.MulWith(e, ws, mat.ColsView(data, 1, t), tr.V)
+	divCols(yvs, tr.S)
+	putTruncated(ws, tr, s)
+	dec := finish(e, ws, atilde, yvs, b, r, p, t, opts)
+	mat.PutDense(ws, b)
+	mat.PutDense(ws, r)
+	return dec, nil
 }
 
 // engine resolves the configured engine, defaulting to the shared pool.
@@ -91,7 +120,7 @@ func (o Options) engine() *compute.Engine {
 // into every deeper level.
 func FromSVD(s *svd.Result, snapshots *mat.Dense, opts Options) (*Decomposition, error) {
 	if opts.DT <= 0 {
-		return nil, errors.New("dmd: Options.DT must be positive")
+		return nil, errNonPositiveDT
 	}
 	p, t := snapshots.Dims()
 	if t < 2 {
@@ -99,62 +128,84 @@ func FromSVD(s *svd.Result, snapshots *mat.Dense, opts Options) (*Decomposition,
 	}
 	e, ws := opts.engine(), opts.Ws
 	y := mat.ColsView(snapshots, 1, t) // zero-copy: every consumer is stride-aware
-	rank := s.Rank()
-	if opts.UseSVHT {
-		rank = svd.SVHTRankWith(ws, s.S, s.U.R, s.V.R)
-	}
-	if opts.Rank > 0 && opts.Rank < rank {
-		rank = opts.Rank
-	}
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > s.Rank() {
-		rank = s.Rank()
-	}
-	tr := s.TruncateWith(ws, rank)
-	putTr := func() {
-		if tr != s {
-			mat.PutDense(ws, tr.U)
-			mat.PutDense(ws, tr.V)
-		}
-	}
-	// Guard degenerate zero data: all-zero singular spectrum.
-	if tr.S[0] == 0 {
-		putTr()
+	tr := truncate(ws, s, s.U.R, s.V.R, opts)
+	if tr == nil {
 		return &Decomposition{Modes: nil, P: p, T: t, DT: opts.DT, Rank: 0}, nil
 	}
 
 	// Ã = Uᵀ Y V Σ⁻¹ (r×r).
-	uty := mat.MulTWith(e, ws, tr.U, y)   // r×(t-1)
-	utyv := mat.MulWith(e, ws, uty, tr.V) // r×r
+	uty := mat.MulTWith(e, ws, tr.U, y)     // r×(t-1)
+	atilde := mat.MulWith(e, ws, uty, tr.V) // r×r
 	mat.PutDense(ws, uty)
-	for i := 0; i < utyv.R; i++ { // scale columns by Σ⁻¹
-		row := utyv.Row(i)
-		for j := range row {
-			row[j] /= tr.S[j]
-		}
-	}
-
-	vals, vecs := eig.NonsymmetricWith(ws, utyv) // clones utyv internally
-	mat.PutDense(ws, utyv)
-
-	// Φ = Y V Σ⁻¹ W (exact DMD modes).
+	divCols(atilde, tr.S)
 	yvs := mat.MulWith(e, ws, y, tr.V) // p×r
-	for i := 0; i < yvs.R; i++ {
-		row := yvs.Row(i)
+	divCols(yvs, tr.S)
+	putTruncated(ws, tr, s)
+	return finish(e, ws, atilde, yvs, nil, snapshots, p, t, opts), nil
+}
+
+// truncate picks the retained rank of s — the SVHT threshold at the
+// aspect ratio of the m×n matrix s factors (which need not be the shape
+// of s's own factors), then the fixed Rank cap — and returns s cut to
+// that rank. A nil result means the singular spectrum is empty or all
+// zero: there is nothing to fit.
+func truncate(ws *compute.Workspace, s *svd.Result, m, n int, opts Options) *svd.Result {
+	if s.Rank() == 0 || s.S[0] == 0 {
+		return nil
+	}
+	rank := s.Rank()
+	if opts.UseSVHT {
+		rank = svd.SVHTRankWith(ws, s.S, m, n)
+	}
+	if opts.Rank > 0 && opts.Rank < rank {
+		rank = opts.Rank
+	}
+	return s.TruncateWith(ws, max(min(rank, s.Rank()), 1))
+}
+
+// putTruncated returns the factors truncate borrowed to cut s to tr.
+func putTruncated(ws *compute.Workspace, tr, s *svd.Result) {
+	if tr != s {
+		mat.PutDense(ws, tr.U)
+		mat.PutDense(ws, tr.V)
+	}
+}
+
+// divCols scales column j of m by 1/s[j] (right-multiplies by Σ⁻¹).
+func divCols(m *mat.Dense, s []float64) {
+	for i := 0; i < m.R; i++ {
+		row := m.Row(i)
 		for j := range row {
-			row[j] /= tr.S[j]
+			row[j] /= s[j]
 		}
 	}
-	putTr()
+}
+
+// finish is the tail Compute and FromSVD share: the eigendecomposition
+// Ã·W = W·Λ (atilde is r×r and consumed), the exact modes
+// Φ = (Y·V·Σ⁻¹)·W (yvs is p×r and consumed), the optimal amplitudes and
+// the mode assembly. The amplitude fit runs on fitB·W against fitSnaps
+// when fitB is non-nil — an image of Φ and the snapshots under the same
+// isometry, on fewer rows — and on Φ against fitSnaps otherwise.
+func finish(e *compute.Engine, ws *compute.Workspace, atilde, yvs, fitB, fitSnaps *mat.Dense, p, t int, opts Options) *Decomposition {
+	rank := atilde.R
+	vals, vecs := eig.NonsymmetricWith(ws, atilde) // clones atilde internally
+	mat.PutDense(ws, atilde)
 	cyvs := mat.ComplexWith(ws, yvs)
 	mat.PutDense(ws, yvs)
 	phi := mat.CMulWith(ws, cyvs, vecs) // p×r
 	mat.PutCDense(ws, cyvs)
+	var b []complex128
+	if fitB != nil {
+		cb := mat.ComplexWith(ws, fitB)
+		phiFit := mat.CMulWith(ws, cb, vecs)
+		mat.PutCDense(ws, cb)
+		b = optimalAmplitudes(e, ws, phiFit, vals, fitSnaps, opts.AmplitudeWindow)
+		mat.PutCDense(ws, phiFit)
+	} else {
+		b = optimalAmplitudes(e, ws, phi, vals, fitSnaps, opts.AmplitudeWindow)
+	}
 	mat.PutCDense(ws, vecs)
-
-	b := optimalAmplitudes(e, ws, phi, vals, snapshots, opts.AmplitudeWindow)
 
 	modes := make([]Mode, 0, len(vals))
 	for j, lam := range vals {
@@ -177,7 +228,7 @@ func FromSVD(s *svd.Result, snapshots *mat.Dense, opts Options) (*Decomposition,
 		})
 	}
 	mat.PutCDense(ws, phi)
-	return &Decomposition{Modes: modes, P: p, T: t, DT: opts.DT, Rank: rank}, nil
+	return &Decomposition{Modes: modes, P: p, T: t, DT: opts.DT, Rank: rank}
 }
 
 // optimalAmplitudes solves min_b ‖X − Φ diag(b) V‖_F where V is the

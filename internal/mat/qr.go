@@ -110,6 +110,78 @@ func qrBlocked[T Element](e *compute.Engine, ws *compute.Workspace, a *GDense[T]
 	return &GQR[T]{Q: q, R: r}
 }
 
+// QRRWith returns the R factor of a Householder QR of a (m×n, any shape)
+// in a min(m,n)×n matrix borrowed from ws: upper triangular for m ≥ n,
+// upper trapezoidal for m < n, with RᵀR = AᵀA. Q is never formed. The
+// window DMD needs only R — every quantity it derives lies in a's column
+// space — so this costs about 2mn² flops against QRFactorOn's 4mn² plus
+// its Q transpose. Return R with PutDense.
+//
+// The reflectors run on a transposed copy of a, so each column is a
+// contiguous row and every dot and axpy streams unit-stride. Diagonal
+// entries of R may be negative; |R[j,j]| equals QRFactor's R[j,j] up to
+// roundoff for full-rank a.
+func QRRWith[T Element](ws *compute.Workspace, a *GDense[T]) *GDense[T] {
+	m, n := a.R, a.C
+	k := min(m, n)
+	at := TWith(ws, a) // n×m: row j is column j of a
+	for c := 0; c < k; c++ {
+		// Reflector H = I − τ·v·vᵀ with v = [1; x[1:]] mapping x to
+		// [β; 0] (LAPACK dlarfg); x[1:] is overwritten by v's tail.
+		x := at.Row(c)[c:]
+		tail := x[1:]
+		xn := math.Sqrt(float64(dot4(tail, tail)))
+		if xn == 0 {
+			continue // column already upper triangular: H = I
+		}
+		alpha := float64(x[0])
+		beta := -math.Copysign(math.Hypot(alpha, xn), alpha)
+		tau := T((beta - alpha) / beta)
+		sc := T(1 / (alpha - beta))
+		for i := range tail {
+			tail[i] *= sc
+		}
+		x[0] = T(beta)
+		// Trailing columns go through in pairs: one pass over v serves
+		// both dots, one more both updates, halving v's loads.
+		j := c + 1
+		for ; j+2 <= n; j += 2 {
+			y0, y1 := at.Row(j)[c:], at.Row(j + 1)[c:]
+			y0t, y1t := y0[1:len(x)], y1[1:len(x)]
+			var d0, d1 T
+			for i, v := range tail {
+				d0 += v * y0t[i]
+				d1 += v * y1t[i]
+			}
+			w0, w1 := tau*(y0[0]+d0), tau*(y1[0]+d1)
+			y0[0] -= w0
+			y1[0] -= w1
+			for i, v := range tail {
+				y0t[i] -= w0 * v
+				y1t[i] -= w1 * v
+			}
+		}
+		if j < n {
+			y := at.Row(j)[c:]
+			yt := y[1:len(x)]
+			w := tau * (y[0] + dot4(tail, yt))
+			y[0] -= w
+			for i, v := range tail {
+				yt[i] -= w * v
+			}
+		}
+	}
+	r := GetDenseOf[T](ws, k, n)
+	for j := 0; j < n; j++ {
+		col := at.Row(j)
+		for i := 0; i <= j && i < k; i++ {
+			r.Data[i*n+j] = col[i]
+		}
+	}
+	PutDense(ws, at)
+	return r
+}
+
 // Release returns both factors' storage to ws.
 func (qr *GQR[T]) Release(ws *compute.Workspace) {
 	PutDense(ws, qr.Q)
@@ -204,8 +276,13 @@ func colScale[T Element](m *GDense[T], j int, sc T) {
 // rowDot returns row i · row j of m (contiguous). Lane structure matches
 // colDot exactly — see the note there.
 func rowDot[T Element](m *GDense[T], i, j int) T {
-	ri := m.Row(i)
-	rj := m.Row(j)
+	return dot4(m.Row(i), m.Row(j))
+}
+
+// dot4 returns ri · rj (len(rj) ≥ len(ri)) with colDot's four-lane
+// accumulator assignment and reduction.
+func dot4[T Element](ri, rj []T) T {
+	rj = rj[:len(ri)]
 	var a0, a1, a2, a3 T
 	k := 0
 	for ; k+4 <= len(ri); k += 4 {
