@@ -122,9 +122,9 @@ func poolCall(info *types.Info, call *ast.CallExpr) (kind string, fn *types.Func
 //     to such a helper counts as the release (one-level call graph);
 //   - escape-helpers store a parameter's reference into a field, index,
 //     dereference, global, channel, or return value (ownership transfer:
-//     Coordinator.install is the canonical case) — the callee (or
-//     whatever it stored into) now owns the pairing obligation, so the
-//     argument stops being tracked at the call site.
+//     a method installing the buffer as a field is the canonical case) —
+//     the callee (or whatever it stored into) now owns the pairing
+//     obligation, so the argument stops being tracked at the call site.
 func indexHelpers(pass *analysis.Pass) (putH, escH map[*types.Func][]bool) {
 	putH = make(map[*types.Func][]bool)
 	escH = make(map[*types.Func][]bool)

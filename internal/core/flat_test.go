@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"imrdmd/internal/codec"
-	"imrdmd/internal/svd"
 )
 
 // PR 9 contract tests for the flat-horizon pipeline: the O(Δ) slow-grid
@@ -269,7 +268,7 @@ func TestV1SnapshotRestores(t *testing.T) {
 	enc.Int(o.Workers)
 	enc.Int(o.BlockColumns)
 	enc.String(o.Precision)
-	enc.Int(o.Shards)
+	enc.Int(1) // shard count
 	enc.Float(inc.DriftThreshold)
 	enc.Bool(inc.AsyncRecompute)
 	enc.Int(inc.p)
@@ -291,7 +290,7 @@ func TestV1SnapshotRestores(t *testing.T) {
 	enc.Int(inc.recomputes)
 	enc.Floats(inc.driftLogChrono())
 	enc.Int(isvdUnsharded)
-	inc.isvd.(*svd.Incremental).Encode(enc)
+	inc.isvd.Encode(enc)
 	if err := enc.Close(); err != nil {
 		t.Fatal(err)
 	}

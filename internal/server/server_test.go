@@ -256,9 +256,9 @@ func TestServerRejects(t *testing.T) {
 	c.must("PUT", "/v1/tenants/x", "application/octet-stream", []byte("not a snapshot"), http.StatusBadRequest)
 }
 
-// TestServerConcurrentTenantsSnapshotRestore is the PR's server
-// acceptance criterion, run under -race in CI: two tenants with
-// independent Options (float64/unsharded vs mixed/sharded) ingest
+// TestServerConcurrentTenantsSnapshotRestore is the server acceptance
+// scenario, run under -race in CI: two tenants with independent Options
+// (float64 vs mixed precision) ingest
 // concurrently against one engine; both are snapshotted, the process
 // "restarts" (a fresh Server), both restore and continue streaming; the
 // final spectra must match uninterrupted reference runs to 1e-12.
@@ -280,9 +280,9 @@ func TestServerConcurrentTenantsSnapshotRestore(t *testing.T) {
 			opts: TenantOptions{DT: 20, MaxLevels: 3, MaxCycles: 2, UseSVHT: true, Parallel: true, BlockColumns: 8, InitialCols: seed},
 			body: "csv",
 		},
-		"gpu-mixed-sharded": {
+		"gpu-mixed": {
 			data: bench.GPUData(p, total, 1),
-			opts: TenantOptions{DT: 1, MaxLevels: 3, MaxCycles: 2, UseSVHT: true, Parallel: true, BlockColumns: 8, Precision: core.PrecisionMixed, Shards: 2, InitialCols: seed},
+			opts: TenantOptions{DT: 1, MaxLevels: 3, MaxCycles: 2, UseSVHT: true, Parallel: true, BlockColumns: 8, Precision: core.PrecisionMixed, InitialCols: seed},
 			body: "json",
 		},
 	}
@@ -316,8 +316,8 @@ func TestServerConcurrentTenantsSnapshotRestore(t *testing.T) {
 			ingestRange(c, id, 0, mid)
 		}(id)
 	}
-	// Metrics polling races the in-flight ingest — the shard.Stats
-	// synchronization this PR adds is what keeps this clean under -race.
+	// Metrics polling races the in-flight ingest, which must stay clean
+	// under -race.
 	pollDone := make(chan struct{})
 	var pollWg sync.WaitGroup
 	pollWg.Add(1)
@@ -373,9 +373,36 @@ func TestServerConcurrentTenantsSnapshotRestore(t *testing.T) {
 		if st.Steps != total {
 			t.Fatalf("%s: restored tenant absorbed %d steps, want %d", id, st.Steps, total)
 		}
-		if sc.opts.Shards > 1 && (st.Shard == nil || st.Shard.Updates == 0) {
-			t.Fatalf("%s: sharded transport stats missing after restore: %+v", id, st.Shard)
-		}
+	}
+}
+
+// TestServerLegacyShardsOption: tenant configurations written when the
+// level-1 SVD could be row-sharded still create tenants. A non-negative
+// "shards" value is ignored — the tenant streams bit-identically to an
+// unsharded reference — while a negative value and misspelled keys stay
+// rejected.
+func TestServerLegacyShardsOption(t *testing.T) {
+	data := bench.SCLogData(48, 768, 1)
+	s := New(Config{Workers: 4, DefaultInitialCols: 512})
+	c := newTestClient(t, s)
+
+	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"dt":20,"shards":-1}`), http.StatusBadRequest)
+	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"dt":20,"shardz":2}`), http.StatusBadRequest)
+
+	opts := []byte(`{"dt":20,"max_levels":3,"max_cycles":2,"use_svht":true,"block_columns":8,"shards":2}`)
+	c.must("POST", "/v1/tenants/legacy", "application/json", opts, http.StatusCreated)
+	c.must("POST", "/v1/tenants/legacy/ingest", "text/csv", csvBody(t, data, 0, 640), http.StatusOK)
+	c.must("POST", "/v1/tenants/legacy/ingest", "text/csv", csvBody(t, data, 640, 768), http.StatusOK)
+
+	ref := referenceAnalyzer(t, data, TenantOptions{DT: 20, MaxLevels: 3, MaxCycles: 2, UseSVHT: true, BlockColumns: 8}, 512, 128, 768)
+	spectraMatch(t, "legacy-shards", c.must("GET", "/v1/tenants/legacy/spectrum", "", nil, http.StatusOK), ref, 0)
+
+	var st TenantStatus
+	if err := json.Unmarshal(c.must("GET", "/v1/tenants/legacy/stats", "", nil, http.StatusOK), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Steps != 768 || st.Options.Shards != 0 {
+		t.Fatalf("legacy tenant stats: steps %d, options %+v", st.Steps, st.Options)
 	}
 }
 

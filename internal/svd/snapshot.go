@@ -28,9 +28,6 @@ func (inc *Incremental) Encode(w *codec.Writer) {
 // nil eng runs serially). Factor shapes are cross-checked so a corrupt
 // stream fails here instead of deep inside a later update.
 func DecodeIncrementalState(r *codec.Reader, eng *compute.Engine, ws *compute.Workspace) (*Incremental, error) {
-	if ws == nil {
-		ws = compute.NewWorkspace()
-	}
 	u := r.Dense()
 	s := r.Floats()
 	v := r.Dense()
@@ -41,9 +38,57 @@ func DecodeIncrementalState(r *codec.Reader, eng *compute.Engine, ws *compute.Wo
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
+	return restoreState(u, s, v, maxRank, dropTol, reorthEvery, updates, eng, ws)
+}
+
+// DecodeShardedState reads the level-1 state of a snapshot written while
+// the decomposition could still be row-sharded: shard offsets, the
+// contiguous U, the replicated Σ/V, the update knobs and counter, the
+// float32-payload flag and seven transport counters. The shard split and
+// the transport fields are validated and dropped — the rows were always
+// stored as one contiguous U — so the state continues as a plain
+// Incremental.
+func DecodeShardedState(r *codec.Reader, eng *compute.Engine, ws *compute.Workspace) (*Incremental, error) {
+	offs := r.Ints()
+	u := r.Dense()
+	s := r.Floats()
+	v := r.Dense()
+	maxRank := r.Int()
+	dropTol := r.Float()
+	reorthEvery := r.Int()
+	r.Bool() // float32 payload flag
+	updates := r.Int()
+	for range 6 {
+		r.Int() // transport counters
+	}
+	r.I64() // transport bytes
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if len(offs) < 2 || u == nil {
+		return nil, fmt.Errorf("svd: decoded sharded state structurally incomplete (%d offsets)", len(offs))
+	}
+	if offs[0] != 0 || offs[len(offs)-1] != u.R {
+		return nil, fmt.Errorf("svd: decoded shard offsets [%d..%d] do not span the %d factor rows",
+			offs[0], offs[len(offs)-1], u.R)
+	}
+	for i := 1; i < len(offs); i++ {
+		if offs[i] < offs[i-1] {
+			return nil, fmt.Errorf("svd: decoded shard offsets not monotone at %d", i)
+		}
+	}
+	return restoreState(u, s, v, maxRank, dropTol, reorthEvery, updates, eng, ws)
+}
+
+// restoreState cross-checks decoded factor shapes and assembles the
+// Incremental (nil ws creates a private workspace).
+func restoreState(u *mat.Dense, s []float64, v *mat.Dense, maxRank int, dropTol float64, reorthEvery, updates int, eng *compute.Engine, ws *compute.Workspace) (*Incremental, error) {
 	if u == nil || v == nil || u.C != len(s) || v.C != len(s) {
 		return nil, fmt.Errorf("svd: decoded factor shapes inconsistent (U %s, %d singular values, V %s)",
 			shapeOf(u), len(s), shapeOf(v))
+	}
+	if ws == nil {
+		ws = compute.NewWorkspace()
 	}
 	return &Incremental{
 		U:           u,

@@ -83,8 +83,8 @@ func TestDecodeIncrementalStateRejectsShapeMismatch(t *testing.T) {
 	enc.Floats([]float64{2, 1})   // but 2 singular values
 	enc.Dense(mat.NewDense(9, 2))
 	enc.Int(0)
-	enc.Float(DefaultDropTol)
-	enc.Int(DefaultReorthEvery)
+	enc.Float(defaultDropTol)
+	enc.Int(defaultReorthEvery)
 	enc.Int(0)
 	if err := enc.Close(); err != nil {
 		t.Fatal(err)
