@@ -35,6 +35,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -117,6 +118,42 @@ func (s *Server) Close() {
 	for _, t := range list {
 		t.hub.close()
 	}
+}
+
+// Request body limits. An ingest body holds whole batches (a 200-sensor,
+// 2000-column CSV seed is about 7 MiB), so the cap leaves room for seeds
+// several times that; an options body is a few hundred bytes. A body over
+// its limit is refused with 413 before any of it is decoded.
+const (
+	maxIngestBody  = 64 << 20
+	maxOptionsBody = 1 << 20
+)
+
+// readBody reads a request body of at most limit bytes into one buffer,
+// sized from Content-Length when the client sent one. A body over the
+// limit fails with *http.MaxBytesError.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) (*bytes.Buffer, error) {
+	if r.ContentLength > limit {
+		return nil, &http.MaxBytesError{Limit: limit}
+	}
+	buf := new(bytes.Buffer)
+	if r.ContentLength > 0 {
+		buf.Grow(int(r.ContentLength) + bytes.MinRead) // room to see EOF without regrowing
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+		return nil, fmt.Errorf("reading body: %w", err)
+	}
+	return buf, nil
+}
+
+// bodyStatus is the status for a request body that failed to read or
+// decode: 413 when it was over its limit, 400 otherwise.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // httpError is a handler failure with its status code.
@@ -265,10 +302,16 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var opts TenantOptions
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&opts); err != nil && !errors.Is(err, io.EOF) {
-		writeErr(w, fail(http.StatusBadRequest, fmt.Errorf("invalid options body: %w", err)))
+	body, err := readBody(w, r, maxOptionsBody)
+	if err == nil {
+		dec := json.NewDecoder(body)
+		dec.DisallowUnknownFields()
+		if err = dec.Decode(&opts); errors.Is(err, io.EOF) {
+			err = nil
+		}
+	}
+	if err != nil {
+		writeErr(w, fail(bodyStatus(err), fmt.Errorf("invalid options body: %w", err)))
 		return
 	}
 	t, err := newTenant(id, opts, s.eng, s.cfg.DefaultInitialCols)
@@ -319,26 +362,30 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// bodySource adapts the request body to a stream.Source by content type:
-// JSON bodies stream batch objects directly; CSV bodies parse to one
-// matrix fed as a single batch.
-func bodySource(r *http.Request) (stream.Source, error) {
+// bodySource reads the request body, at most maxIngestBody bytes, and
+// adapts it to a stream.Source by content type: JSON bodies stream batch
+// objects; CSV bodies parse to one matrix fed as a single batch.
+func bodySource(w http.ResponseWriter, r *http.Request) (stream.Source, error) {
 	ct := r.Header.Get("Content-Type")
-	switch {
-	case strings.Contains(ct, "json"):
-		return stream.FromJSON(r.Body)
-	case ct == "" || strings.Contains(ct, "csv") || strings.Contains(ct, "text/plain"):
-		m, err := stream.ReadCSV(r.Body)
-		if err != nil {
-			return nil, err
-		}
-		if m.C == 0 {
-			return nil, errors.New("ingest body holds no columns")
-		}
-		return stream.FromMatrix(m, m.C), nil
-	default:
+	isJSON := strings.Contains(ct, "json")
+	if !isJSON && ct != "" && !strings.Contains(ct, "csv") && !strings.Contains(ct, "text/plain") {
 		return nil, fmt.Errorf("unsupported Content-Type %q (want text/csv or application/json)", ct)
 	}
+	body, err := readBody(w, r, maxIngestBody)
+	if err != nil {
+		return nil, err
+	}
+	if isJSON {
+		return stream.FromJSON(body)
+	}
+	m, err := stream.ReadCSV(body)
+	if err != nil {
+		return nil, err
+	}
+	if m.C == 0 {
+		return nil, errors.New("ingest body holds no columns")
+	}
+	return stream.FromMatrix(m, m.C), nil
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -356,9 +403,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// malformed input (ragged rows, non-finite values, bad syntax) fails
 	// here with nothing absorbed, and a slow client trickling its body
 	// cannot sit on the tenant lock starving stats/snapshot/shutdown.
-	src, err := bodySource(r)
+	src, err := bodySource(w, r)
 	if err != nil {
-		writeErr(w, fail(http.StatusBadRequest, err))
+		writeErr(w, fail(bodyStatus(err), err))
 		return
 	}
 	var batches []*mat.Dense

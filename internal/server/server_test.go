@@ -606,3 +606,66 @@ func TestRestoreDirSkipsInvalidIDs(t *testing.T) {
 		t.Fatalf("restored %v (%d tenants)", ids, s2.Tenants())
 	}
 }
+
+// fillReader is an endless body of one repeated byte.
+type fillReader byte
+
+func (f fillReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// TestBodyLimits: an ingest body over maxIngestBody and an options body
+// over maxOptionsBody are refused with 413 and the usual JSON error, and
+// absorb nothing — whether the client declared the length up front or
+// streamed the body without one.
+func TestBodyLimits(t *testing.T) {
+	data := bench.SCLogData(8, 64, 1)
+	s := New(Config{Workers: 1, DefaultInitialCols: 32})
+	c := newTestClient(t, s)
+	c.must("POST", "/v1/tenants/big", "application/json", nil, http.StatusCreated)
+	c.must("POST", "/v1/tenants/big/ingest", "text/csv", csvBody(t, data, 0, 40), http.StatusOK)
+	status := func() TenantStatus {
+		var st TenantStatus
+		if err := json.Unmarshal(c.must("GET", "/v1/tenants/big/stats", "", nil, http.StatusOK), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	before := status()
+	if !before.Seeded || before.Updates == 0 {
+		t.Fatalf("tenant not streaming before the oversize bodies: %+v", before)
+	}
+	for _, tc := range []struct {
+		name, path, ctype string
+		limit             int64
+		declared          bool
+	}{
+		{"csv streamed", "/v1/tenants/big/ingest", "text/csv", maxIngestBody, false},
+		{"json streamed", "/v1/tenants/big/ingest", "application/json", maxIngestBody, false},
+		{"csv declared", "/v1/tenants/big/ingest", "text/csv", maxIngestBody, true},
+		{"json declared", "/v1/tenants/big/ingest", "application/json", maxIngestBody, true},
+		{"options streamed", "/v1/tenants/opts", "application/json", maxOptionsBody, false},
+		{"options declared", "/v1/tenants/opts", "application/json", maxOptionsBody, true},
+	} {
+		req := httptest.NewRequest("POST", tc.path, io.LimitReader(fillReader(' '), tc.limit+1))
+		req.Header.Set("Content-Type", tc.ctype)
+		if tc.declared {
+			req.ContentLength = tc.limit + 1
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		var body struct {
+			Error string `json:"error"`
+		}
+		if rec.Code != http.StatusRequestEntityTooLarge || json.Unmarshal(rec.Body.Bytes(), &body) != nil || body.Error == "" {
+			t.Fatalf("%s: status %d body %.200q, want 413 with a JSON error", tc.name, rec.Code, rec.Body.Bytes())
+		}
+	}
+	if after := status(); after.Updates != before.Updates || after.Steps != before.Steps || after.Pending != before.Pending {
+		t.Fatalf("oversize bodies changed the tenant: before %+v after %+v", before, after)
+	}
+	c.must("GET", "/v1/tenants/opts/stats", "", nil, http.StatusNotFound)
+}

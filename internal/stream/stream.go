@@ -7,7 +7,6 @@ package stream
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -361,45 +360,14 @@ func WriteCSV(w io.Writer, data *mat.Dense) error {
 // Empty input and the "#shape" header round-trip the degenerate shapes;
 // non-finite values ("NaN", "Inf") are rejected with a clear error — the
 // CSV ingest path must never hand the analyzer data it will choke on.
+// Quoted numeric fields, CRLF line endings and blank lines are accepted,
+// as encoding/csv accepts them.
 func ReadCSV(r io.Reader) (*mat.Dense, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1 // shape checked below with a clearer error
-	rows, err := cr.ReadAll()
+	body, err := readBody(r)
 	if err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
-	if len(rows) == 0 {
-		return mat.NewDense(0, 0), nil
-	}
-	if rows[0][0] == shapeTag {
-		if len(rows[0]) != 3 || len(rows) != 1 {
-			return nil, errors.New("stream: malformed #shape header")
-		}
-		pr, err1 := strconv.Atoi(rows[0][1])
-		pc, err2 := strconv.Atoi(rows[0][2])
-		if err1 != nil || err2 != nil || pr < 0 || pc < 0 || (pr != 0 && pc != 0) {
-			return nil, fmt.Errorf("stream: #shape header %v is not a degenerate shape", rows[0][1:])
-		}
-		return mat.NewDense(pr, pc), nil
-	}
-	c := len(rows[0])
-	out := mat.NewDense(len(rows), c)
-	for i, rec := range rows {
-		if len(rec) != c {
-			return nil, fmt.Errorf("stream: ragged CSV: row %d has %d fields, want %d", i, len(rec), c)
-		}
-		for j, f := range rec {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, fmt.Errorf("stream: row %d col %d: %w", i, j, err)
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("stream: row %d col %d: non-finite value %q", i, j, f)
-			}
-			out.Set(i, j, v)
-		}
-	}
-	return out, nil
+	return parseCSV(body)
 }
 
 // JSONBatch is the wire form of one JSON ingest batch: Data[i] holds
@@ -414,17 +382,23 @@ type JSONBatch struct {
 // interface. Decode errors latch and end the stream; check Err after
 // exhaustion (Pump does this itself).
 type JSONSource struct {
-	dec  *json.Decoder
+	sc   jsonScanner
 	rows int
 	next *mat.Dense
 	err  error
 }
 
-// FromJSON opens a JSON batch stream, eagerly decoding the first batch so
-// the row count is known up front. An input with no batches at all is an
-// error — there is nothing to size the stream by.
+// FromJSON opens a JSON batch stream, reading the whole input and eagerly
+// decoding the first batch so the row count is known up front. An input
+// with no batches at all is an error — there is nothing to size the
+// stream by. Field names match case-insensitively and unknown keys are
+// skipped, as encoding/json decodes a JSONBatch.
 func FromJSON(r io.Reader) (*JSONSource, error) {
-	s := &JSONSource{dec: json.NewDecoder(r)}
+	body, err := readBody(r)
+	if err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
+	}
+	s := &JSONSource{sc: jsonScanner{buf: body}}
 	s.next = s.decode()
 	if s.err != nil {
 		return nil, s.err
@@ -462,31 +436,9 @@ func (s *JSONSource) decode() *mat.Dense {
 	if s.err != nil {
 		return nil
 	}
-	var b JSONBatch
-	if err := s.dec.Decode(&b); err != nil {
-		if err != io.EOF {
-			s.err = fmt.Errorf("stream: %w", err)
-		}
-		return nil
-	}
-	if len(b.Data) == 0 {
-		s.err = errors.New("stream: JSON batch has no rows")
-		return nil
-	}
-	c := len(b.Data[0])
-	m := mat.NewDense(len(b.Data), c)
-	for i, row := range b.Data {
-		if len(row) != c {
-			s.err = fmt.Errorf("stream: ragged JSON batch: row %d has %d values, want %d", i, len(row), c)
-			return nil
-		}
-		for j, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				s.err = fmt.Errorf("stream: JSON batch row %d col %d: non-finite value %v", i, j, v)
-				return nil
-			}
-			m.Set(i, j, v)
-		}
+	m, err := s.sc.batch()
+	if err != nil {
+		s.err = fmt.Errorf("stream: %w", err)
 	}
 	return m
 }
