@@ -253,7 +253,38 @@ func TestV1SnapshotRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Hand-encode the PR-8 (version 1) layout from the live state.
+	restored, err := DecodeIncremental(bytes.NewReader(v1Stream(t, inc)))
+	if err != nil {
+		t.Fatalf("v1 stream rejected: %v", err)
+	}
+	if restored.Cols() != inc.Cols() || restored.Updates() != inc.Updates() {
+		t.Fatalf("restored state mismatch: %d/%d cols, %d/%d updates",
+			restored.Cols(), inc.Cols(), restored.Updates(), inc.Updates())
+	}
+	treesEqual(t, restored, inc)
+
+	// Both continue the stream identically: the restored analyzer's first
+	// update takes the fresh-evaluation fallback, which is bit-identical
+	// to the live analyzer's cached path.
+	blk := data.ColSlice(640, 768)
+	sa, err := inc.PartialFit(blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := restored.PartialFit(blk.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sa.Drift != sb.Drift {
+		t.Fatalf("post-restore drift %v != live %v (must be bit-identical)", sb.Drift, sa.Drift)
+	}
+	treesEqual(t, restored, inc)
+}
+
+// v1Stream hand-encodes inc in the version-1 layout: flat f64 history,
+// no windowing options, unbounded drift log.
+func v1Stream(tb testing.TB, inc *Incremental) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
 	enc := codec.NewWriterVersion(&buf, 1)
 	o := inc.opts
@@ -292,33 +323,7 @@ func TestV1SnapshotRestores(t *testing.T) {
 	enc.Int(isvdUnsharded)
 	inc.isvd.Encode(enc)
 	if err := enc.Close(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-
-	restored, err := DecodeIncremental(&buf)
-	if err != nil {
-		t.Fatalf("v1 stream rejected: %v", err)
-	}
-	if restored.Cols() != inc.Cols() || restored.Updates() != inc.Updates() {
-		t.Fatalf("restored state mismatch: %d/%d cols, %d/%d updates",
-			restored.Cols(), inc.Cols(), restored.Updates(), inc.Updates())
-	}
-	treesEqual(t, restored, inc)
-
-	// Both continue the stream identically: the restored analyzer's first
-	// update takes the fresh-evaluation fallback, which is bit-identical
-	// to the live analyzer's cached path.
-	blk := data.ColSlice(640, 768)
-	sa, err := inc.PartialFit(blk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := restored.PartialFit(blk.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sa.Drift != sb.Drift {
-		t.Fatalf("post-restore drift %v != live %v (must be bit-identical)", sb.Drift, sa.Drift)
-	}
-	treesEqual(t, restored, inc)
+	return buf.Bytes()
 }

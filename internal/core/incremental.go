@@ -72,6 +72,13 @@ type Incremental struct {
 	slowGrid   *mat.Dense
 	slowGridLo int
 
+	// gridErr is View's last grid error, valid while gridErrOK: a
+	// PartialFit that lands no grid sample and keeps the slow set moves
+	// neither sub1 nor any node's evaluation on the grid. Everything else
+	// that changes a node or sub1 clears gridErrOK. Never serialized.
+	gridErr   float64
+	gridErrOK bool
+
 	updates    int
 	recomputes int
 	// driftLog is a bounded ring of the last driftLogCap per-PartialFit
@@ -157,6 +164,7 @@ func (inc *Incremental) InitialFit(data *mat.Dense) error {
 	if err := inc.refreshLevel1(); err != nil {
 		return err
 	}
+	inc.gridErrOK = false
 	// Levels ≥ 2: halves of the residual, exactly as batch mrDMD does.
 	resid := inc.residualOf(0, t)
 	nodes, err := inc.subtree(resid, 0)
@@ -215,8 +223,7 @@ func (inc *Incremental) rebuildSlowGridFresh() {
 	inc.invalidateSlowGrid()
 	ns := inc.sub1.C
 	lo := inc.driftLo(ns)
-	inc.slowGrid = inc.level1SlowOnGridRange(lo, ns,
-		dmd.ReconGemmForm(inc.p, ns-lo, len(inc.level1.Modes)))
+	inc.slowGrid = inc.level1SlowOnGridRange(inc.level1.Modes, lo, ns)
 	inc.slowGridLo = lo
 }
 
@@ -261,21 +268,8 @@ func (inc *Incremental) PartialFit(newData *mat.Dense) (UpdateStats, error) {
 	newT := inc.hist.Cols()
 	stats.NewColumns = newData.C
 
-	// The old level-1 slow reconstruction on the old sample grid (drift
-	// window) before the modes move: taken from the cache the previous
-	// update left — the values are bit-identical to a fresh evaluation,
-	// which the first update after a restore or AddSensors falls back to.
 	oldNS := inc.sub1.C
 	oldLo := inc.driftLo(oldNS)
-	var oldSlow *mat.Dense
-	if inc.slowGrid != nil && inc.slowGridLo == oldLo && inc.slowGrid.C == oldNS-oldLo {
-		oldSlow = inc.slowGrid
-		inc.slowGrid = nil
-	} else {
-		inc.invalidateSlowGrid()
-		oldSlow = inc.level1SlowOnGridRange(oldLo, oldNS,
-			dmd.ReconGemmForm(inc.p, oldNS-oldLo, len(inc.level1.Modes)))
-	}
 
 	// Absorb new columns that land on the level-1 grid.
 	var newCols []int
@@ -283,6 +277,7 @@ func (inc *Incremental) PartialFit(newData *mat.Dense) (UpdateStats, error) {
 		newCols = append(newCols, idx)
 	}
 	if len(newCols) > 0 {
+		inc.gridErrOK = false
 		block := inc.hist.GatherCols(inc.ws, newCols)
 		inc.sub1 = mat.GrowColsWith(inc.ws, inc.sub1, block)
 		mat.PutDense(inc.ws, block)
@@ -296,22 +291,28 @@ func (inc *Incremental) PartialFit(newData *mat.Dense) (UpdateStats, error) {
 	}
 	stats.NewSamples = len(newCols)
 
-	if err := inc.refreshLevel1(); err != nil {
-		mat.PutDense(inc.ws, oldSlow)
+	prev := inc.level1
+	if len(newCols) == 0 {
+		// The SVD state and sub1 did not move, so a refit would reproduce
+		// prev's modes bit for bit. Only ρ = MaxCycles/(T·DT) moved, and it
+		// only shrinks as T grows: the new slow set is prev's, filtered
+		// again.
+		inc.setLevel1(prev.Modes, prev.NumAllModes)
+	} else if err := inc.refreshLevel1(); err != nil {
 		return stats, err
 	}
 
 	// Drift of the slow part over the old window (Algorithm 1's update
 	// criterion). Measured on the subsampled grid — bounded further by
-	// DriftWindow — so the check is O(window), not O(T).
-	newSlow := inc.level1SlowOnGridRange(oldLo, oldNS,
-		dmd.ReconGemmForm(inc.p, oldNS-oldLo, len(inc.level1.Modes)))
-	stats.Drift = frobDiff(oldSlow, newSlow)
-	mat.PutDense(inc.ws, oldSlow)
+	// DriftWindow — so the check is O(window), not O(T). With no new
+	// sample and the same slow set, the old and new evaluations are the
+	// same arithmetic on the same modes: the drift is exactly 0 and the
+	// cached slow grid and grid error stand.
+	if len(newCols) > 0 || len(inc.level1.Modes) != len(prev.Modes) {
+		inc.gridErrOK = false
+		stats.Drift = inc.slowDrift(prev.Modes, oldLo, oldNS)
+	}
 	inc.logDrift(stats.Drift)
-	// newSlow becomes the next update's cache, extended by the Δ new grid
-	// columns (consumes newSlow).
-	inc.rebuildSlowGridFrom(newSlow, oldLo, oldNS)
 
 	// Demote every pre-existing node one level: the new level 2 is the
 	// timeline split at oldT.
@@ -359,44 +360,71 @@ func (inc *Incremental) PartialFit(newData *mat.Dense) (UpdateStats, error) {
 	return stats, nil
 }
 
+// slowDrift returns ‖old − new level-1 slow reconstruction‖_F over grid
+// columns [oldLo, oldNS). The old one comes from the cache the previous
+// update left, or is evaluated fresh from prevModes when there is none
+// (after a restore or AddSensors); the two are bit-identical. The new
+// one, extended to the current grid, becomes the next update's cache.
+func (inc *Incremental) slowDrift(prevModes []dmd.Mode, oldLo, oldNS int) float64 {
+	var oldSlow *mat.Dense
+	if inc.slowGrid != nil && inc.slowGridLo == oldLo && inc.slowGrid.C == oldNS-oldLo {
+		oldSlow, inc.slowGrid = inc.slowGrid, nil
+	} else {
+		inc.invalidateSlowGrid()
+		oldSlow = inc.level1SlowOnGridRange(prevModes, oldLo, oldNS)
+	}
+	newSlow := inc.level1SlowOnGridRange(inc.level1.Modes, oldLo, oldNS)
+	d := frobDiff(oldSlow, newSlow)
+	mat.PutDense(inc.ws, oldSlow)
+	inc.rebuildSlowGridFrom(newSlow, oldLo, oldNS)
+	return d
+}
+
 // rebuildSlowGridFrom turns newSlow — the just-measured slow evaluation
 // over grid columns [oldLo, oldNS) — into the cache for the next update,
-// covering [driftLo(ns), ns): the overlap is copied and only the Δ new
-// grid columns are evaluated, in the form a from-scratch full-width
-// evaluation would use, so per-column results stay bit-identical to one.
-// Consumes newSlow. On a form crossing (the r·t·p volume stepping over
-// the GEMM threshold, or the retained mode count changing it) the whole
-// window is re-evaluated once in the target form.
+// covering [driftLo(ns), ns). Only the trailing columns are evaluated
+// and the rest are copied, so that the result stays bit-identical to a
+// from-scratch full-width evaluation, which requires two things:
+//
+//   - The evaluation is pinned to the form the full width picks.
+//   - It covers at least dmd.ReconRouteCols columns. A Δ-wide extension
+//     whose plane GEMMs fall under mat's packed width would run the
+//     naive loops where the full width runs the packed kernels, and the
+//     two differ at roundoff. Those columns are evaluated again, not
+//     copied; they come out bit-identical.
+//
+// Consumes newSlow. When the full width's form or kernel route differs
+// from newSlow's (the r·t·p volume crossing a threshold, or the retained
+// mode count changing it), the whole window is re-evaluated once.
 func (inc *Incremental) rebuildSlowGridFrom(newSlow *mat.Dense, oldLo, oldNS int) {
 	ns := inc.sub1.C
 	newLo := inc.driftLo(ns)
-	r := len(inc.level1.Modes)
-	wantGemm := dmd.ReconGemmForm(inc.p, ns-newLo, r)
-	haveGemm := dmd.ReconGemmForm(inc.p, oldNS-oldLo, r)
-	if wantGemm != haveGemm || newLo < oldLo || newLo >= oldNS {
+	p, r := inc.p, len(inc.level1.Modes)
+	w, oldW := ns-newLo, oldNS-oldLo
+	gemm, route := dmd.ReconGemmForm(p, w, r), dmd.ReconRouteCols(p, w, r)
+	if gemm != dmd.ReconGemmForm(p, oldW, r) || route != dmd.ReconRouteCols(p, oldW, r) ||
+		newLo < oldLo || newLo >= oldNS {
 		mat.PutDense(inc.ws, newSlow)
 		inc.rebuildSlowGridFresh()
 		return
 	}
-	if ns == oldNS && newLo == oldLo {
+	if ns == oldNS {
 		inc.slowGrid, inc.slowGridLo = newSlow, newLo
 		return
 	}
-	buf := mat.GetDenseRaw(inc.ws, inc.p, ns-newLo)
-	keep := oldNS - newLo
-	for i := 0; i < inc.p; i++ {
-		copy(buf.Row(i)[:keep], newSlow.Row(i)[newLo-oldLo:oldNS-oldLo])
+	eval := max(ns-oldNS, route)
+	keep := w - eval
+	buf := mat.GetDenseRaw(inc.ws, p, w)
+	for i := 0; i < p; i++ {
+		copy(buf.Row(i)[:keep], newSlow.Row(i)[newLo-oldLo:])
 	}
 	mat.PutDense(inc.ws, newSlow)
-	if ns > oldNS {
-		ext := mat.ColsView(buf, keep, ns-newLo)
-		times := inc.ws.GetF64(ns - oldNS)
-		for k := range times {
-			times[k] = float64((oldNS+k)*inc.stride1) * inc.opts.DT
-		}
-		dmd.ReconstructModesIntoFormWith(inc.eng, inc.ws, ext, inc.level1.Modes, times, wantGemm)
-		inc.ws.PutF64(times)
+	times := inc.ws.GetF64(eval)
+	for k := range times {
+		times[k] = float64((newLo+keep+k)*inc.stride1) * inc.opts.DT
 	}
+	dmd.ReconstructModesIntoFormWith(inc.eng, inc.ws, mat.ColsView(buf, keep, w), inc.level1.Modes, times, gemm)
+	inc.ws.PutF64(times)
 	inc.slowGrid, inc.slowGridLo = buf, newLo
 }
 
@@ -440,6 +468,7 @@ func (inc *Incremental) recomputeSegment(seg *segment) {
 }
 
 func (inc *Incremental) recomputeSegmentLocked(seg *segment) {
+	inc.gridErrOK = false
 	resid := inc.residualOf(seg.start, seg.end)
 	nodes, err := inc.subtree(resid, seg.start)
 	mat.PutDense(inc.ws, resid)
@@ -488,7 +517,6 @@ func frobDiff(a, b *mat.Dense) float64 {
 // refreshLevel1 recomputes the level-1 DMD and slow modes from the
 // incremental SVD state.
 func (inc *Incremental) refreshLevel1() error {
-	t := inc.hist.Cols()
 	// The view is read-only and consumed before the next isvd update, so
 	// no defensive clone of the (large) U/V factors is needed.
 	res := inc.isvd.ResultView()
@@ -503,31 +531,37 @@ func (inc *Incremental) refreshLevel1() error {
 	if err != nil {
 		return err
 	}
+	inc.setLevel1(dec.Modes, len(dec.Modes))
+	return nil
+}
+
+// setLevel1 installs the level-1 node over the whole absorbed timeline,
+// retaining the modes that are slow at its length.
+func (inc *Incremental) setLevel1(modes []dmd.Mode, numAll int) {
+	t := inc.hist.Cols()
 	rho := float64(inc.opts.MaxCycles) / (float64(t) * inc.opts.DT)
-	slow, _ := dmd.SlowModes(dec.Modes, rho)
+	slow, _ := dmd.SlowModes(modes, rho)
 	inc.level1 = &Node{
 		Level:       1,
 		Start:       0,
 		End:         t,
 		Stride:      inc.stride1,
 		Modes:       slow,
-		NumAllModes: len(dec.Modes),
+		NumAllModes: numAll,
 	}
-	return nil
 }
 
-// level1SlowOnGridRange evaluates the level-1 slow reconstruction on grid
-// columns [lo, hi) of the level-1 sample grid, in the given evaluation
-// form (see dmd.ReconGemmForm — pinning the form is what keeps partial
-// evaluations bit-identical to full ones).
-func (inc *Incremental) level1SlowOnGridRange(lo, hi int, gemm bool) *mat.Dense {
+// level1SlowOnGridRange evaluates modes — the level-1 slow set, current
+// or previous — on grid columns [lo, hi) of the level-1 sample grid, in
+// the form and kernel route that width picks.
+func (inc *Incremental) level1SlowOnGridRange(modes []dmd.Mode, lo, hi int) *mat.Dense {
 	n := hi - lo
 	times := inc.ws.GetF64(n)
 	for k := range times {
 		times[k] = float64((lo+k)*inc.stride1) * inc.opts.DT
 	}
 	out := mat.GetDenseRaw(inc.ws, inc.p, n) // the eval overwrites every element
-	dmd.ReconstructModesIntoFormWith(inc.eng, inc.ws, out, inc.level1.Modes, times, gemm)
+	dmd.ReconstructModesIntoWith(inc.eng, inc.ws, out, modes, times)
 	inc.ws.PutF64(times)
 	return out
 }

@@ -78,17 +78,20 @@ func (inc *Incremental) View() View {
 		}
 	}
 	v.Spectrum = spectrumOf(nodes)
-	v.GridError, v.GridCols = inc.gridErrorLocked(nodes)
+	if !inc.gridErrOK {
+		inc.gridErr, inc.gridErrOK = inc.gridErrorLocked(nodes), true
+	}
+	v.GridError, v.GridCols = inc.gridErr, inc.sub1.C
 	return v
 }
 
 // gridErrorLocked evaluates ‖raw − recon‖_F over the level-1 sample grid:
 // the summed node reconstructions at the sampled columns against sub1,
 // which holds exactly those columns of raw.
-func (inc *Incremental) gridErrorLocked(nodes []*Node) (float64, int) {
+func (inc *Incremental) gridErrorLocked(nodes []*Node) float64 {
 	ns := inc.sub1.C
 	if ns == 0 {
-		return 0, 0
+		return 0
 	}
 	acc := mat.GetDense(inc.ws, inc.p, ns)
 	for _, nd := range nodes {
@@ -103,7 +106,7 @@ func (inc *Incremental) gridErrorLocked(nodes []*Node) (float64, int) {
 		}
 	}
 	mat.PutDense(inc.ws, acc)
-	return math.Sqrt(s), ns
+	return math.Sqrt(s)
 }
 
 // addNodeOnGrid adds nd's slow reconstruction, evaluated at the level-1

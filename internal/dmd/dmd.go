@@ -427,11 +427,25 @@ const reconGemmMin = 4096
 // would pick for a p×t reconstruction of r modes: true for the two-GEMM
 // plane form, false for the scalar triple loop. The two forms agree only
 // to roundoff, so callers that evaluate a span incrementally (the O(Δ)
-// slow-grid cache) must pin the form the full-width evaluation would use
-// — per-column results are then bit-identical regardless of how the span
-// was partitioned, because both forms accumulate each output column
-// independently and in the same order.
+// slow-grid cache) must pin the form the full-width evaluation would use.
+// Pinning the form is not enough on its own: the plane GEMMs themselves
+// route by width (see ReconRouteCols).
 func ReconGemmForm(p, t, r int) bool { return r*t*p >= reconGemmMin }
+
+// ReconRouteCols returns the narrowest span an evaluation pinned to the
+// form ReconGemmForm(p, t, r) picks must cover to run the kernels the
+// t-column evaluation runs: mat.PackedCols(p, r) when that evaluation's
+// plane GEMMs take mat's packed route, else 1. Both forms accumulate each
+// output column independently and in the same order within one kernel
+// route, so evaluations of any two spans agreeing in ReconGemmForm and
+// ReconRouteCols are bit-identical column for column, and a caller
+// extending a span evaluates at least this many trailing columns.
+func ReconRouteCols(p, t, r int) int {
+	if n := mat.PackedCols(p, r); ReconGemmForm(p, t, r) && t >= n {
+		return n
+	}
+	return 1
+}
 
 // ReconstructModesIntoWith is ReconstructModesInto with the evaluation
 // GEMMs routed through engine e and scratch borrowed from ws (both may be

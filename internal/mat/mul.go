@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"math"
 	"unsafe"
 
 	"imrdmd/internal/compute"
@@ -24,6 +25,20 @@ func fanOut(e *compute.Engine, flops int) bool {
 // (threshold_test.go pins it from both sides).
 func usePacked(m, k, n int) bool {
 	return m*k*n >= gemmMinFlops
+}
+
+// PackedCols returns the narrowest n for which an m×k by k×n multiply
+// (Mul, MulIntoWith and the accumulate variants) takes the packed route;
+// narrower products run the naive loops, which agree with the packed
+// kernels only to roundoff. Within one route every output element
+// accumulates the same chain whatever n is, so a caller evaluating some
+// columns of a wider product reproduces its bits by multiplying at least
+// this many. Empty operands (m·k = 0) never route packed.
+func PackedCols(m, k int) int {
+	if m <= 0 || k <= 0 {
+		return math.MaxInt
+	}
+	return (gemmMinFlops + m*k - 1) / (m * k)
 }
 
 // Mul returns a*b. Problems of at least gemmMinFlops run through the

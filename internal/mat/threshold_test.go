@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -47,6 +48,17 @@ func TestPackedRoutingBoundary(t *testing.T) {
 	}
 	if usePacked(16, 32, 31) {
 		t.Fatal("a problem below gemmMinFlops must stay on the naive loops")
+	}
+	// PackedCols is the routing boundary seen from the column count.
+	for _, mk := range [][2]int{{16, 32}, {200, 3}, {200, 5}, {7, 11}, {1, 1}, {1 << 15, 1}} {
+		m, k := mk[0], mk[1]
+		n := PackedCols(m, k)
+		if !usePacked(m, k, n) || (n > 1 && usePacked(m, k, n-1)) {
+			t.Fatalf("PackedCols(%d, %d) = %d is not the narrowest packed width", m, k, n)
+		}
+	}
+	if PackedCols(0, 4) != math.MaxInt || PackedCols(4, 0) != math.MaxInt {
+		t.Fatal("empty operands must never route packed")
 	}
 }
 
