@@ -26,23 +26,22 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("imrdmd: ")
 	var (
-		in        = flag.String("in", "", "input sensor CSV (required)")
-		dt        = flag.Float64("dt", 1, "sampling interval (seconds)")
-		levels    = flag.Int("levels", 6, "max mrDMD levels")
-		cycles    = flag.Int("cycles", 2, "max slow-mode cycles per window")
-		svht      = flag.Bool("svht", true, "use SVHT rank truncation")
-		rank      = flag.Int("rank", 0, "fixed SVD rank (0 = automatic)")
-		initial   = flag.Int("initial", 0, "initial-fit columns (0 = half the data)")
-		batch     = flag.Int("batch", 0, "partial-fit batch columns (0 = no streaming)")
-		baseLo    = flag.Float64("baseline-lo", 46, "baseline mean lower bound")
-		baseHi    = flag.Float64("baseline-hi", 57, "baseline mean upper bound")
-		workers   = flag.Int("workers", 0, "compute-engine worker lanes (0 = GOMAXPROCS)")
-		blkCols   = flag.Int("block-columns", 8, "incremental-SVD block-column width (1 = column at a time, 0 = one block per batch)")
-		precision = flag.String("precision", "float64", `arithmetic tier: "float64" or "mixed"`)
-		driftWin  = flag.Int("drift-window", 0, "trailing slow-grid columns compared for drift (0 = full grid, bit-stable)")
-		ampWin    = flag.Int("amp-window", 0, "trailing slow-grid columns used by the level-1 amplitude refit (0 = full width)")
-		coldHzn   = flag.Int("cold-horizon", 0, "columns kept in float64; older history demotes to float32 (0 = never demote)")
-		outDir    = flag.String("out", ".", "output directory")
+		in       = flag.String("in", "", "input sensor CSV (required)")
+		dt       = flag.Float64("dt", 1, "sampling interval (seconds)")
+		levels   = flag.Int("levels", 6, "max mrDMD levels")
+		cycles   = flag.Int("cycles", 2, "max slow-mode cycles per window")
+		svht     = flag.Bool("svht", true, "use SVHT rank truncation")
+		rank     = flag.Int("rank", 0, "fixed SVD rank (0 = automatic)")
+		initial  = flag.Int("initial", 0, "initial-fit columns (0 = half the data)")
+		batch    = flag.Int("batch", 0, "partial-fit batch columns (0 = no streaming)")
+		baseLo   = flag.Float64("baseline-lo", 46, "baseline mean lower bound")
+		baseHi   = flag.Float64("baseline-hi", 57, "baseline mean upper bound")
+		workers  = flag.Int("workers", 0, "compute-engine worker lanes (0 = GOMAXPROCS)")
+		blkCols  = flag.Int("block-columns", 8, "incremental-SVD block-column width (1 = column at a time, 0 = one block per batch)")
+		driftWin = flag.Int("drift-window", 0, "trailing slow-grid columns compared for drift (0 = full grid, bit-stable)")
+		ampWin   = flag.Int("amp-window", 0, "trailing slow-grid columns used by the level-1 amplitude refit (0 = full width)")
+		coldHzn  = flag.Int("cold-horizon", 0, "columns kept in float64; older history demotes to float32 (0 = never demote)")
+		outDir   = flag.String("out", ".", "output directory")
 	)
 	flag.Usage = func() {
 		w := flag.CommandLine.Output()
@@ -67,15 +66,6 @@ Performance knobs and how they interact:
                      subspace up to rank truncation; it trades per-batch
                      latency against factorization count, and each chunk
                      still parallelizes across -workers lanes.
-  -precision TIER    "float64" (default) keeps every stage in float64 and
-                     is bit-stable run to run. "mixed" screens each
-                     subtree window in float32 — half the memory traffic,
-                     twice the SIMD width on the same -workers lanes — and
-                     recomputes only the SVHT-kept directions in float64;
-                     kept-mode sets match float64 within SVHT tolerance.
-                     The streaming level-1 SVD (the part -block-columns
-                     chunks) keeps float64 arithmetic, so -precision and
-                     -block-columns compose independently.
   -drift-window K    Compares only the trailing K slow-grid columns when
                      measuring per-update level-1 drift, so the drift
                      check costs O(K) instead of O(T/stride) per batch.
@@ -129,8 +119,8 @@ Options:
 	a, err := imrdmd.New(imrdmd.Options{
 		DT: *dt, MaxLevels: *levels, MaxCycles: *cycles,
 		UseSVHT: *svht, Rank: *rank, Parallel: true, Workers: *workers,
-		BlockColumns: *blkCols, Precision: *precision,
-		DriftWindow: *driftWin, AmplitudeWindow: *ampWin, ColdHorizon: *coldHzn,
+		BlockColumns: *blkCols,
+		DriftWindow:  *driftWin, AmplitudeWindow: *ampWin, ColdHorizon: *coldHzn,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -18,11 +18,8 @@ import (
 )
 
 // benchSnapshot is the perf-trajectory record emitted by -bench-json: the
-// hot-path metrics the kernel work optimizes (dense multiply variants in
-// both precision tiers and streamed PartialFit), captured per PR so
-// regressions are diffable. Entries with an `_f32` / `_mixed` suffix run
-// the float32 screening tier; their GFLOPS against the f64 entries of the
-// same shape measure the mixed-precision speedup.
+// hot-path metrics the kernel work optimizes (dense multiply variants and
+// streamed PartialFit), captured per PR so regressions are diffable.
 type benchSnapshot struct {
 	GOOS         string                 `json:"goos"`
 	GOARCH       string                 `json:"goarch"`
@@ -49,9 +46,8 @@ type benchKernel struct {
 	L1DBytes int `json:"l1d_bytes,omitempty"`
 	L2Bytes  int `json:"l2_bytes,omitempty"`
 	L3Bytes  int `json:"l3_bytes,omitempty"`
-	// F64/F32 are the per-precision tile geometry and KC/MC/NC blocking.
+	// F64 is the tile geometry and KC/MC/NC blocking.
 	F64 benchKernelParams `json:"f64"`
-	F32 benchKernelParams `json:"f32"`
 }
 
 type benchKernelParams struct {
@@ -74,7 +70,6 @@ func kernelSnapshot() benchKernel {
 		L2Bytes:  ki.L2,
 		L3Bytes:  ki.L3,
 		F64:      pub(ki.F64),
-		F32:      pub(ki.F32),
 	}
 }
 
@@ -85,7 +80,6 @@ func printKernelInfo() {
 	fmt.Printf("gemm kernel: tier=%s tuned=%v goamd64=%q\n", ki.Tier, ki.Tuned, goamd64Setting())
 	fmt.Printf("caches: L1d=%d L2=%d L3=%d bytes\n", ki.L1D, ki.L2, ki.L3)
 	fmt.Printf("f64: MR=%d NR=%d KC=%d MC=%d NC=%d\n", ki.F64.MR, ki.F64.NR, ki.F64.KC, ki.F64.MC, ki.F64.NC)
-	fmt.Printf("f32: MR=%d NR=%d KC=%d MC=%d NC=%d\n", ki.F32.MR, ki.F32.NR, ki.F32.KC, ki.F32.MC, ki.F32.NC)
 }
 
 // goamd64Setting reports the GOAMD64 microarchitecture level the binary
@@ -174,10 +168,8 @@ func writeBenchJSON(path string, workers int) error {
 
 	// Kernel sweep over the cache-behavior regimes: 256 (operands fit L2),
 	// 512 (the historical trajectory size) and 1024 (panel streaming from
-	// L3). Each size gets multiply and Gram in both precision tiers; the
-	// f32/f64 GFLOPS ratio at equal shape is the mixed-precision kernel
-	// speedup. MulT rides along at 512 only (its packing absorbs the
-	// transpose, so its rate tracks mul's).
+	// L3). Each size gets multiply and Gram. MulT rides along at 512 only
+	// (its packing absorbs the transpose, so its rate tracks mul's).
 	rng := rand.New(rand.NewSource(1))
 	// Route through the same engine the workers flag selects so the
 	// snapshot's numbers match its recorded configuration.
@@ -188,12 +180,6 @@ func writeBenchJSON(path string, workers int) error {
 		for i := range a.Data {
 			a.Data[i] = rng.NormFloat64()
 			b.Data[i] = rng.NormFloat64()
-		}
-		a32 := mat.NewDense32(n, n)
-		b32 := mat.NewDense32(n, n)
-		for i := range a32.Data {
-			a32.Data[i] = float32(a.Data[i])
-			b32.Data[i] = float32(b.Data[i])
 		}
 		mulFlops := 2 * int64(n) * int64(n) * int64(n)
 		sz := fmt.Sprintf("%dx%d", n, n)
@@ -209,29 +195,11 @@ func writeBenchJSON(path string, workers int) error {
 				_ = mat.GramWith(eng, nil, a, false)
 			}
 		}), mulFlops)
-		snap.Benchmarks["mul_f32_"+sz] = kernelMetricOf(testing.Benchmark(func(tb *testing.B) {
-			tb.ReportAllocs()
-			for i := 0; i < tb.N; i++ {
-				_ = mat.MulWith(eng, nil, a32, b32)
-			}
-		}), mulFlops)
-		snap.Benchmarks["gram_rows_f32_"+sz] = kernelMetricOf(testing.Benchmark(func(tb *testing.B) {
-			tb.ReportAllocs()
-			for i := 0; i < tb.N; i++ {
-				_ = mat.GramWith(eng, nil, a32, false)
-			}
-		}), mulFlops)
 		if n == 512 {
 			snap.Benchmarks["mult_"+sz] = kernelMetricOf(testing.Benchmark(func(tb *testing.B) {
 				tb.ReportAllocs()
 				for i := 0; i < tb.N; i++ {
 					_ = mat.MulTWith(eng, nil, a, b)
-				}
-			}), mulFlops)
-			snap.Benchmarks["mult_f32_"+sz] = kernelMetricOf(testing.Benchmark(func(tb *testing.B) {
-				tb.ReportAllocs()
-				for i := 0; i < tb.N; i++ {
-					_ = mat.MulTWith(eng, nil, a32, b32)
 				}
 			}), mulFlops)
 		}
@@ -315,10 +283,6 @@ func writeBenchJSON(path string, workers int) error {
 		}))
 	}
 	snap.Benchmarks["partial_fit_sclog_t2000_x5"] = partialFit(data, opts)
-	// Same episode with the f32 screening tier on the subtree windows.
-	mixedOpts := opts
-	mixedOpts.Precision = core.PrecisionMixed
-	snap.Benchmarks["partial_fit_mixed_sclog_t2000_x5"] = partialFit(data, mixedOpts)
 
 	// The same episode on the GPU Metrics scenario.
 	gpuOpts := opts

@@ -22,20 +22,16 @@
 //	base  := imrdmd.BaselineByMeanRange(series, 46, 57)     // baseline sensors
 //	z, _  := a.ZScores(base, 0, math.Inf(1))                // per-sensor z-scores
 //
-// Options.Precision selects the arithmetic tier: the default "float64"
-// keeps every stage in double precision; "mixed" screens each analysis
-// window with the float32 kernel tier and recomputes only the modes the
-// SVHT decision keeps in float64 — roughly twice the kernel throughput
-// for the same kept-mode set (see DESIGN.md §6).
+// Every numeric stage runs in float64. Float32 appears only as storage
+// for history older than Options.ColdHorizon (see DESIGN.md §6, §10).
 //
 // # Snapshot and restore
 //
 // Analyzer.Snapshot serializes the complete incremental state as a
 // versioned binary stream and Restore reconstructs it; the restored
 // analyzer continues PartialFit streams bit-compatibly with the
-// uninterrupted one, across both precision tiers. This is what lets a
-// long-running deployment survive restarts or migrate a stream between
-// hosts:
+// uninterrupted one. This is what lets a long-running deployment survive
+// restarts or migrate a stream between hosts:
 //
 //	var buf bytes.Buffer
 //	if err := a.Snapshot(&buf); err != nil { ... }
@@ -44,11 +40,10 @@
 // # Serving streams
 //
 // cmd/imrdmd-serve wraps the analyzer in a long-running HTTP service:
-// per-tenant analyzers (each with its own Options — per-tenant
-// Precision selection included) behind chunked CSV/JSON ingest,
-// query endpoints for modes/spectrum/reconstruction error, and
-// snapshot/restore endpoints backed by the same codec, with all
-// tenants' kernels bounded by one shared worker pool. See DESIGN.md §8.
+// per-tenant analyzers (each with its own Options) behind chunked
+// CSV/JSON ingest, query endpoints for modes/spectrum/reconstruction
+// error, and snapshot/restore endpoints backed by the same codec, with
+// all tenants' kernels bounded by one shared worker pool. See DESIGN.md §8.
 //
 // See the examples directory for complete monitoring scenarios and
 // cmd/paperbench for the harness that regenerates every table and figure

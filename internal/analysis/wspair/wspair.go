@@ -1,7 +1,7 @@
 // Package wspair enforces the PR-1 pooling contract: every buffer taken
-// from a compute.Workspace pool (ws.GetF64 / GetC128 / compute.GetFloats
-// / mat.GetDense and friends) is returned with the matching Put* on
-// every path out of the acquiring function, unless ownership is
+// from a compute.Workspace pool (ws.GetF64 / GetC128 / mat.GetDense and
+// friends) is returned with the matching Put* on every path out of the
+// acquiring function, unless ownership is
 // explicitly transferred (the buffer is returned to the caller or stored
 // into a longer-lived structure). A buffer that misses its Put on an
 // early-error return is not a crash — it is a silent pool drain that
@@ -85,7 +85,7 @@ func isWorkspaceType(t types.Type) bool {
 // or neither, by the repo's naming convention anchored on the Workspace
 // type: a Get*/Put* method on *compute.Workspace, or a Get*/Put*
 // function whose parameters include a *compute.Workspace (the mat
-// adapters and the generic compute.GetFloats/PutFloats).
+// adapters).
 func poolCall(info *types.Info, call *ast.CallExpr) (kind string, fn *types.Func) {
 	fn = analysis.CalleeFunc(info, call)
 	if fn == nil {

@@ -67,96 +67,93 @@ func streamRecompute(t *testing.T, data *mat.Dense, opts core.Options) *core.Inc
 	return inc
 }
 
-// TestFlatWindowsAgreeAcrossPrecision: DriftWindow + AmplitudeWindow
-// bound per-update work without changing what the analyzer converges to —
-// across both precision tiers.
-func TestFlatWindowsAgreeAcrossPrecision(t *testing.T) {
+// TestFlatWindowsAgree: DriftWindow + AmplitudeWindow bound per-update
+// work without changing what the analyzer converges to.
+func TestFlatWindowsAgree(t *testing.T) {
 	for _, sc := range snapshotScenarios() {
-		for _, prec := range []string{core.PrecisionFloat64, core.PrecisionMixed} {
-			label := sc.name + "/" + prec
-			opts := core.Options{
-				DT: sc.dt, MaxLevels: 4, MaxCycles: 2, UseSVHT: true,
-				Parallel: true, BlockColumns: 8, Precision: prec,
-			}
-			full := streamRecompute(t, sc.data, opts)
+		label := sc.name
+		opts := core.Options{
+			DT: sc.dt, MaxLevels: 4, MaxCycles: 2, UseSVHT: true,
+			Parallel: true, BlockColumns: 8,
+		}
+		full := streamRecompute(t, sc.data, opts)
 
-			wopts := opts
-			// The level-1 grid ends at 24 columns here (stride 64 over
-			// 1536); both windows must be genuinely narrower than that
-			// or the test degenerates to the full-width path.
-			wopts.DriftWindow = 8
-			wopts.AmplitudeWindow = 16
-			win := streamRecompute(t, sc.data, wopts)
+		wopts := opts
+		// The level-1 grid ends at 24 columns here (stride 64 over
+		// 1536); both windows must be genuinely narrower than that
+		// or the test degenerates to the full-width path.
+		wopts.DriftWindow = 8
+		wopts.AmplitudeWindow = 16
+		win := streamRecompute(t, sc.data, wopts)
 
-			ft, wt := full.Tree(), win.Tree()
-			if len(ft.Nodes) == 0 || len(wt.Nodes) == 0 {
-				t.Fatalf("%s: empty tree", label)
+		ft, wt := full.Tree(), win.Tree()
+		if len(ft.Nodes) == 0 || len(wt.Nodes) == 0 {
+			t.Fatalf("%s: empty tree", label)
+		}
+		fl1, wl1 := ft.Nodes[0], wt.Nodes[0]
+		if len(fl1.Modes) != len(wl1.Modes) {
+			t.Fatalf("%s: level-1 mode count %d vs %d", label, len(wl1.Modes), len(fl1.Modes))
+		}
+		// k0 grid columns precede the amplitude window; a mode's
+		// remaining envelope there decides which contract applies.
+		k0 := 24 - wopts.AmplitudeWindow
+		var maxAmpFull float64
+		for j := range fl1.Modes {
+			if a := cmplx.Abs(fl1.Modes[j].Amp); a > maxAmpFull {
+				maxAmpFull = a
 			}
-			fl1, wl1 := ft.Nodes[0], wt.Nodes[0]
-			if len(fl1.Modes) != len(wl1.Modes) {
-				t.Fatalf("%s: level-1 mode count %d vs %d", label, len(wl1.Modes), len(fl1.Modes))
+		}
+		for j := range fl1.Modes {
+			fm, wm := &fl1.Modes[j], &wl1.Modes[j]
+			if d := math.Abs(fm.Freq - wm.Freq); d > flatWinFreqTol*(1+math.Abs(fm.Freq)) {
+				t.Fatalf("%s mode %d: freq %v vs %v (windowing must not move eigenvalues)",
+					label, j, wm.Freq, fm.Freq)
 			}
-			// k0 grid columns precede the amplitude window; a mode's
-			// remaining envelope there decides which contract applies.
-			k0 := 24 - wopts.AmplitudeWindow
-			var maxAmpFull float64
-			for j := range fl1.Modes {
-				if a := cmplx.Abs(fl1.Modes[j].Amp); a > maxAmpFull {
-					maxAmpFull = a
-				}
+			fa := cmplx.Abs(fm.Amp)
+			if fa < 1e-9 {
+				continue
 			}
-			for j := range fl1.Modes {
-				fm, wm := &fl1.Modes[j], &wl1.Modes[j]
-				if d := math.Abs(fm.Freq - wm.Freq); d > flatWinFreqTol*(1+math.Abs(fm.Freq)) {
-					t.Fatalf("%s mode %d: freq %v vs %v (windowing must not move eigenvalues)",
-						label, j, wm.Freq, fm.Freq)
+			mass := math.Pow(cmplx.Abs(fm.Lambda), float64(k0))
+			if mass > 1 {
+				mass = 1
+			}
+			switch {
+			case mass >= flatWinMassHi:
+				if rel := cmplx.Abs(fm.Amp-wm.Amp) / fa; rel > flatWinAmpTol {
+					t.Fatalf("%s mode %d (mass %g): windowed amplitude rel diff %g > %g (%v vs %v)",
+						label, j, mass, rel, flatWinAmpTol, wm.Amp, fm.Amp)
 				}
-				fa := cmplx.Abs(fm.Amp)
-				if fa < 1e-9 {
-					continue
+			case mass < flatWinMassLo:
+				if wm.Amp != 0 {
+					t.Fatalf("%s mode %d (mass %g): decayed mode kept amplitude %v, want 0",
+						label, j, mass, wm.Amp)
 				}
-				mass := math.Pow(cmplx.Abs(fm.Lambda), float64(k0))
-				if mass > 1 {
-					mass = 1
-				}
-				switch {
-				case mass >= flatWinMassHi:
-					if rel := cmplx.Abs(fm.Amp-wm.Amp) / fa; rel > flatWinAmpTol {
-						t.Fatalf("%s mode %d (mass %g): windowed amplitude rel diff %g > %g (%v vs %v)",
-							label, j, mass, rel, flatWinAmpTol, wm.Amp, fm.Amp)
-					}
-				case mass < flatWinMassLo:
-					if wm.Amp != 0 {
-						t.Fatalf("%s mode %d (mass %g): decayed mode kept amplitude %v, want 0",
-							label, j, mass, wm.Amp)
-					}
-				default:
-					// Gray zone: either zeroed by the mass floor or a
-					// ≤ 1/mass noise-amplified estimate — never worse.
-					if wa := cmplx.Abs(wm.Amp); wa > maxAmpFull/mass {
-						t.Fatalf("%s mode %d (mass %g): windowed amplitude %g exceeds the 1/mass bound %g",
-							label, j, mass, wa, maxAmpFull/mass)
-					}
+			default:
+				// Gray zone: either zeroed by the mass floor or a
+				// ≤ 1/mass noise-amplified estimate — never worse.
+				if wa := cmplx.Abs(wm.Amp); wa > maxAmpFull/mass {
+					t.Fatalf("%s mode %d (mass %g): windowed amplitude %g exceeds the 1/mass bound %g",
+						label, j, mass, wa, maxAmpFull/mass)
 				}
 			}
+		}
 
-			fe, we := full.ReconError(), win.ReconError()
-			if math.IsNaN(we) || math.IsInf(we, 0) {
-				t.Fatalf("%s: windowed ReconError not finite: %v", label, we)
-			}
-			if we > fe*(1+flatWinErrTol) {
-				t.Fatalf("%s: windowed ReconError %v exceeds full-width %v by more than %g",
-					label, we, fe, flatWinErrTol)
-			}
+		fe, we := full.ReconError(), win.ReconError()
+		if math.IsNaN(we) || math.IsInf(we, 0) {
+			t.Fatalf("%s: windowed ReconError not finite: %v", label, we)
+		}
+		if we > fe*(1+flatWinErrTol) {
+			t.Fatalf("%s: windowed ReconError %v exceeds full-width %v by more than %g",
+				label, we, fe, flatWinErrTol)
+		}
 
-			fd, wd := full.DriftLog(), win.DriftLog()
-			if len(fd) != len(wd) {
-				t.Fatalf("%s: drift log lengths %d vs %d", label, len(wd), len(fd))
-			}
-			for i, d := range wd {
-				if math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
-					t.Fatalf("%s: windowed drift %d invalid: %v", label, i, d)
-				}
+		fd, wd := full.DriftLog(), win.DriftLog()
+		if len(fd) != len(wd) {
+			t.Fatalf("%s: drift log lengths %d vs %d", label, len(wd), len(fd))
+		}
+		for i, d := range wd {
+			if math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
+				t.Fatalf("%s: windowed drift %d invalid: %v", label, i, d)
 			}
 		}
 	}

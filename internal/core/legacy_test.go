@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -69,6 +70,15 @@ func liveCoordinatorState(t *testing.T, isvd *svd.Incremental) *coordinatorState
 // mutate, when non-nil, edits the coordinator state before it is
 // written.
 func legacyShardedStream(t *testing.T, inc *Incremental, version uint32, mutate func(*coordinatorState)) []byte {
+	return legacyStream(t, inc, version, "float64", true, mutate)
+}
+
+// legacyStream hand-encodes inc in the version-1 or version-2 layout
+// with precision in the options' precision slot — the slot older
+// releases used to pick a float32 screening tier ("mixed"). sharded
+// selects the kind-1 coordinator payload of legacyShardedStream; without
+// it the level-1 SVD is written unsharded, as Snapshot writes it.
+func legacyStream(t *testing.T, inc *Incremental, version uint32, precision string, sharded bool, mutate func(*coordinatorState)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := codec.NewWriterVersion(&buf, version)
@@ -83,8 +93,12 @@ func legacyShardedStream(t *testing.T, inc *Incremental, version uint32, mutate 
 	enc.Bool(o.Parallel)
 	enc.Int(o.Workers)
 	enc.Int(o.BlockColumns)
-	enc.String(o.Precision)
-	enc.Int(legacyShards)
+	enc.String(precision)
+	if sharded {
+		enc.Int(legacyShards)
+	} else {
+		enc.Int(1)
+	}
 	if version >= 2 {
 		enc.Int(o.DriftWindow)
 		enc.Int(o.AmplitudeWindow)
@@ -121,6 +135,14 @@ func legacyShardedStream(t *testing.T, inc *Incremental, version uint32, mutate 
 	enc.Int(inc.recomputes)
 	enc.Floats(inc.driftLogChrono())
 
+	if !sharded {
+		enc.Int(isvdUnsharded)
+		inc.isvd.Encode(enc)
+		if err := enc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
 	st := liveCoordinatorState(t, inc.isvd)
 	if mutate != nil {
 		mutate(st)
@@ -287,5 +309,102 @@ func TestDecodeLegacyCoordinatorRejectsCorruptShapes(t *testing.T) {
 				t.Fatal("corrupt coordinator payload accepted")
 			}
 		})
+	}
+}
+
+// TestIncrementalMixedMatchesFloat64: a stream whose precision slot names
+// the deleted float32 screening tier ("mixed"), an empty one or "float64"
+// restores onto the one float64 path and continues a PartialFit and an
+// AddSensors bit-identically to the live float64 analyzer — in both
+// format versions.
+func TestIncrementalMixedMatchesFloat64(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	data, _ := multiscale(rng, 12, 600, 1, 0.1)
+	base := data.RowSlice(0, 10)
+	for _, version := range []uint32{1, 2} {
+		for _, precision := range []string{"mixed", "", "float64"} {
+			t.Run(fmt.Sprintf("v%d/%q", version, precision), func(t *testing.T) {
+				inc := NewIncremental(Options{DT: 1, MaxLevels: 4, MaxCycles: 2, UseSVHT: true, BlockColumns: 8})
+				if err := inc.InitialFit(base.ColSlice(0, 400)); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := inc.PartialFit(base.ColSlice(400, 480)); err != nil {
+					t.Fatal(err)
+				}
+				stream := legacyStream(t, inc, version, precision, false, nil)
+				restored, err := DecodeIncremental(bytes.NewReader(stream))
+				if err != nil {
+					t.Fatalf("precision %q stream rejected: %v", precision, err)
+				}
+				level1Equal(t, "decoded", restored, inc)
+				treesEqual(t, restored, inc)
+
+				// The restored analyzer writes "float64" in the slot: the
+				// same bytes as the live original.
+				var live, again bytes.Buffer
+				if err := inc.Snapshot(&live); err != nil {
+					t.Fatal(err)
+				}
+				if err := restored.Snapshot(&again); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(live.Bytes(), again.Bytes()) {
+					t.Fatal("re-snapshot of the restored analyzer differs from the live original's")
+				}
+
+				blk := base.ColSlice(480, 560)
+				sa, err := inc.PartialFit(blk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sb, err := restored.PartialFit(blk.Clone())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sa.Drift != sb.Drift {
+					t.Fatalf("post-restore drift %v != live %v (must be bit-identical)", sb.Drift, sa.Drift)
+				}
+				level1Equal(t, "after PartialFit", restored, inc)
+				treesEqual(t, restored, inc)
+
+				newRows := data.RowSlice(10, 12).ColSlice(0, 560)
+				if err := inc.AddSensors(newRows); err != nil {
+					t.Fatal(err)
+				}
+				if err := restored.AddSensors(newRows.Clone()); err != nil {
+					t.Fatal(err)
+				}
+				blk = data.ColSlice(560, 600)
+				if _, err := inc.PartialFit(blk); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := restored.PartialFit(blk.Clone()); err != nil {
+					t.Fatal(err)
+				}
+				level1Equal(t, "after AddSensors + PartialFit", restored, inc)
+				treesEqual(t, restored, inc)
+			})
+		}
+	}
+}
+
+// TestUnknownPrecisionSlotRejected: a checksummed stream whose precision
+// slot names a tier no release wrote is corrupt, in both the unsharded
+// and the legacy sharded layout.
+func TestUnknownPrecisionSlotRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	data, _ := multiscale(rng, 6, 480, 1, 0.1)
+	inc := NewIncremental(defaultOpts())
+	if err := inc.InitialFit(data.ColSlice(0, 400)); err != nil {
+		t.Fatal(err)
+	}
+	for _, sharded := range []bool{false, true} {
+		for _, precision := range []string{"float16", "Mixed", "float32"} {
+			stream := legacyStream(t, inc, 2, precision, sharded, nil)
+			_, err := DecodeIncremental(bytes.NewReader(stream))
+			if !errors.Is(err, codec.ErrCorrupt) {
+				t.Fatalf("sharded=%v precision %q: got %v, want codec.ErrCorrupt", sharded, precision, err)
+			}
+		}
 	}
 }

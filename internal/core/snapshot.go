@@ -92,7 +92,7 @@ func DecodeIncrementalWith(r io.Reader, eng *compute.Engine) (*Incremental, erro
 	if err != nil {
 		return nil, err
 	}
-	opts := decodeOptions(dec)
+	opts, precision := decodeOptions(dec)
 	driftThreshold := dec.Float()
 	asyncRecompute := dec.Bool()
 	p := dec.Len()
@@ -141,13 +141,13 @@ func DecodeIncrementalWith(r io.Reader, eng *compute.Engine) (*Incremental, erro
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
+	if !KnownPrecision(precision) {
+		return nil, fmt.Errorf("%w: unknown precision tier %q", codec.ErrCorrupt, precision)
+	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	if eng == nil {
-		eng = opts.engine()
-	}
 	ws := compute.NewWorkspace()
 
 	inc := &Incremental{
@@ -155,7 +155,6 @@ func DecodeIncrementalWith(r io.Reader, eng *compute.Engine) (*Incremental, erro
 		AsyncRecompute: asyncRecompute,
 		opts:           opts,
 		p:              p,
-		eng:            eng,
 		ws:             ws,
 		hist:           hist,
 		stride1:        stride1,
@@ -190,6 +189,13 @@ func DecodeIncrementalWith(r io.Reader, eng *compute.Engine) (*Incremental, erro
 	if err := inc.validateDecoded(); err != nil {
 		return nil, err
 	}
+	// The snapshot's own Workers sizes a goroutine pool, so it is trusted
+	// only once the checksum and the structure have held.
+	if eng == nil {
+		eng = opts.engine()
+	}
+	inc.eng = eng
+	isvd.SetEngine(eng)
 	return inc, nil
 }
 
@@ -267,6 +273,18 @@ func (inc *Incremental) Options() Options {
 	return inc.opts
 }
 
+// precisionFloat64 fills the options' precision slot. Older releases
+// wrote "float64" or "mixed" there to pick a window-DMD tier; there is
+// one tier now, and the slot stays so the format is unchanged.
+const precisionFloat64 = "float64"
+
+// KnownPrecision reports whether s is a precision tier an older release
+// could name in a snapshot or a tenant's options: "", "float64" or
+// "mixed". Every one of them runs the one float64 path (DESIGN.md §6).
+func KnownPrecision(s string) bool {
+	return s == "" || s == precisionFloat64 || s == "mixed"
+}
+
 // encodeOptions writes every persistent Options field. The runtime-only
 // Engine override is deliberately not serialized: a snapshot restored in
 // another process resolves its pool from Workers (or the restorer's
@@ -282,14 +300,16 @@ func encodeOptions(w *codec.Writer, o Options) {
 	w.Bool(o.Parallel)
 	w.Int(o.Workers)
 	w.Int(o.BlockColumns)
-	w.String(o.Precision)
+	w.String(precisionFloat64)
 	w.Int(1) // legacy shard count: the level-1 SVD is never sharded
 	w.Int(o.DriftWindow)
 	w.Int(o.AmplitudeWindow)
 	w.Int(o.ColdHorizon)
 }
 
-func decodeOptions(r *codec.Reader) Options {
+// decodeOptions reads the fields encodeOptions writes, returning the
+// legacy precision slot alongside for the caller to check.
+func decodeOptions(r *codec.Reader) (Options, string) {
 	o := Options{
 		DT:            r.Float(),
 		MaxLevels:     r.Int(),
@@ -301,15 +321,15 @@ func decodeOptions(r *codec.Reader) Options {
 		Parallel:      r.Bool(),
 		Workers:       r.Int(),
 		BlockColumns:  r.Int(),
-		Precision:     r.String(),
 	}
+	precision := r.String()
 	r.Int() // legacy shard count, ignored: the level-1 SVD runs unsharded
 	if r.Version() >= 2 {
 		o.DriftWindow = r.Int()
 		o.AmplitudeWindow = r.Int()
 		o.ColdHorizon = r.Int()
 	}
-	return o
+	return o, precision
 }
 
 func minCap(n, cap int) int {

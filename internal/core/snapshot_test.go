@@ -129,20 +129,17 @@ func interruptedScenario(t *testing.T, data *mat.Dense, opts core.Options) *core
 
 // TestSnapshotRestoreContinuesStream: encode → decode → continue-streaming
 // must match an uninterrupted run to 1e-12 on the SC Log and GPU Metrics
-// scenarios, across both precision tiers. (The continuation is
-// bit-compatible by construction — the tolerance only pads float compare
-// plumbing.)
+// scenarios. (The continuation is bit-compatible by construction — the
+// tolerance only pads float compare plumbing.)
 func TestSnapshotRestoreContinuesStream(t *testing.T) {
 	for _, sc := range snapshotScenarios() {
-		for _, prec := range []string{core.PrecisionFloat64, core.PrecisionMixed} {
-			opts := core.Options{
-				DT: sc.dt, MaxLevels: 4, MaxCycles: 2, UseSVHT: true,
-				Parallel: true, BlockColumns: 8, Precision: prec,
-			}
-			want := streamScenario(t, sc.data, opts)
-			got := interruptedScenario(t, sc.data, opts)
-			compareTrees(t, sc.name+"/"+prec, got, want, 1e-12)
+		opts := core.Options{
+			DT: sc.dt, MaxLevels: 4, MaxCycles: 2, UseSVHT: true,
+			Parallel: true, BlockColumns: 8,
 		}
+		want := streamScenario(t, sc.data, opts)
+		got := interruptedScenario(t, sc.data, opts)
+		compareTrees(t, sc.name, got, want, 1e-12)
 	}
 }
 

@@ -5,24 +5,21 @@
 // Matrices are row-major. The package is self-contained (stdlib only) and
 // its hot kernels (matrix multiply) are blocked and goroutine-parallel.
 //
-// The dense type and every real kernel are generic over the element type
-// (float32 | float64): Dense is the float64 instantiation used by the
-// high-fidelity pipeline, Dense32 the float32 instantiation that backs the
-// mixed-precision screening tier (see DESIGN.md §6). The float64 paths are
-// unchanged instantiations of the same generic code, so enabling the f32
-// tier cannot perturb f64 results.
+// The dense type is generic over its element type only as storage:
+// Dense (float64) is what every kernel computes on; Dense32 (float32)
+// holds the analyzer's cold history tier (tiered.go) and its snapshot
+// form, and is widened to Dense before any arithmetic (DESIGN.md §6, §10).
 package mat
 
 import (
 	"fmt"
 	"math"
-
-	"imrdmd/internal/compute"
 )
 
-// Element constrains the matrix element type to the float tiers the
-// compute layer pools (float32 | float64).
-type Element = compute.Float
+// Element constrains the matrix element type to the two storage tiers.
+type Element interface {
+	~float32 | ~float64
+}
 
 // GDense is a row-major dense matrix over element type T.
 //
@@ -59,10 +56,10 @@ func (m *GDense[T]) packed() bool {
 	return (m.Stride == 0 || m.Stride == m.C) && len(m.Data) == m.R*m.C
 }
 
-// Dense is the float64 dense matrix — the default, high-fidelity tier.
+// Dense is the float64 dense matrix every kernel computes on.
 type Dense = GDense[float64]
 
-// Dense32 is the float32 dense matrix — the screening (low-fidelity) tier.
+// Dense32 is the float32 dense matrix: cold-tier storage only.
 type Dense32 = GDense[float32]
 
 // NewOf returns a zeroed r×c matrix with element type T.
@@ -200,11 +197,11 @@ func (m *GDense[T]) Subsample(stride int) *GDense[T] {
 }
 
 // HStack returns [A B] (columns of b appended to a). Row counts must match.
-func HStack[T Element](a, b *GDense[T]) *GDense[T] {
+func HStack(a, b *Dense) *Dense {
 	if a.R != b.R {
 		panic("mat: HStack row mismatch")
 	}
-	out := NewOf[T](a.R, a.C+b.C)
+	out := NewDense(a.R, a.C+b.C)
 	for i := 0; i < a.R; i++ {
 		copy(out.Row(i)[:a.C], a.Row(i))
 		copy(out.Row(i)[a.C:], b.Row(i))
@@ -213,11 +210,11 @@ func HStack[T Element](a, b *GDense[T]) *GDense[T] {
 }
 
 // VStack returns [A; B] (rows of b appended to a). Column counts must match.
-func VStack[T Element](a, b *GDense[T]) *GDense[T] {
+func VStack(a, b *Dense) *Dense {
 	if a.C != b.C {
 		panic("mat: VStack col mismatch")
 	}
-	out := NewOf[T](a.R+b.R, a.C)
+	out := NewDense(a.R+b.R, a.C)
 	for i := 0; i < a.R; i++ {
 		copy(out.Row(i), a.Row(i))
 	}
@@ -237,9 +234,9 @@ func Eye(n int) *Dense {
 }
 
 // DiagOf returns a square matrix with v on the diagonal.
-func DiagOf[T Element](v []T) *GDense[T] {
+func DiagOf(v []float64) *Dense {
 	n := len(v)
-	m := NewOf[T](n, n)
+	m := NewDense(n, n)
 	for i, x := range v {
 		m.Data[i*n+i] = x
 	}
@@ -247,9 +244,9 @@ func DiagOf[T Element](v []T) *GDense[T] {
 }
 
 // Add returns a + b element-wise.
-func Add[T Element](a, b *GDense[T]) *GDense[T] {
+func Add(a, b *Dense) *Dense {
 	checkSameShape("Add", a, b)
-	out := NewOf[T](a.R, a.C)
+	out := NewDense(a.R, a.C)
 	for i := 0; i < a.R; i++ {
 		orow, arow, brow := out.Row(i), a.Row(i), b.Row(i)
 		for j := range orow {
@@ -260,9 +257,9 @@ func Add[T Element](a, b *GDense[T]) *GDense[T] {
 }
 
 // Sub returns a - b element-wise.
-func Sub[T Element](a, b *GDense[T]) *GDense[T] {
+func Sub(a, b *Dense) *Dense {
 	checkSameShape("Sub", a, b)
-	out := NewOf[T](a.R, a.C)
+	out := NewDense(a.R, a.C)
 	for i := 0; i < a.R; i++ {
 		orow, arow, brow := out.Row(i), a.Row(i), b.Row(i)
 		for j := range orow {
@@ -273,7 +270,7 @@ func Sub[T Element](a, b *GDense[T]) *GDense[T] {
 }
 
 // SubInPlace subtracts b from a in place.
-func SubInPlace[T Element](a, b *GDense[T]) {
+func SubInPlace(a, b *Dense) {
 	checkSameShape("SubInPlace", a, b)
 	for i := 0; i < a.R; i++ {
 		arow, brow := a.Row(i), b.Row(i)
@@ -284,8 +281,8 @@ func SubInPlace[T Element](a, b *GDense[T]) {
 }
 
 // Scale returns s*a.
-func Scale[T Element](s T, a *GDense[T]) *GDense[T] {
-	out := NewOf[T](a.R, a.C)
+func Scale(s float64, a *Dense) *Dense {
+	out := NewDense(a.R, a.C)
 	for i := 0; i < a.R; i++ {
 		orow, arow := out.Row(i), a.Row(i)
 		for j := range orow {
@@ -341,7 +338,7 @@ func (m *GDense[T]) HasNaN() bool {
 	return false
 }
 
-func checkSameShape[T Element](op string, a, b *GDense[T]) {
+func checkSameShape(op string, a, b *Dense) {
 	if a.R != b.R || a.C != b.C {
 		panic(fmt.Sprintf("mat: %s shape mismatch %d×%d vs %d×%d", op, a.R, a.C, b.R, b.C))
 	}

@@ -1,14 +1,10 @@
 package mat
 
-import (
-	"unsafe"
-
-	"imrdmd/internal/compute"
-)
+import "imrdmd/internal/compute"
 
 // This file is the packed, register-blocked GEMM that backs every dense
 // multiply in the package (Mul/MulInto/MulT/Gram and QR's trailing-matrix
-// update), generic over the element type. The layout follows the classic
+// update). The layout follows the classic
 // Goto/BLIS decomposition:
 //
 //	for jc over N by NC:                (B panel column block)
@@ -23,13 +19,11 @@ import (
 // stride math in the inner loop, and so transposed operands (MulT, Gram's
 // m·mᵀ) cost the same as plain ones — the transpose is absorbed by the
 // packing read. Pack buffers are borrowed from a package-level
-// compute.Workspace (which pools float32 and float64 size classes
-// separately), so steady state packs are allocation-free in both tiers.
+// compute.Workspace, so steady state packs are allocation-free.
 //
-// Tile geometry and cache blocking are per-ISA and per-type, resolved at
-// boot (tune.go): the micro-tile is MR rows by one vector of elements —
-// 4×4 f64 / 4×8 f32 on the 256-bit tiers, 8×8 f64 / 8×16 f32 on the
-// AVX-512 tier — and KC/MC/NC are derived from the probed cache sizes
+// Tile geometry and cache blocking are per-ISA, resolved at boot
+// (tune.go): the micro-tile is 4×4 on the 256-bit tiers and 8×16 on the
+// AVX-512 tier, and KC/MC/NC are derived from the probed cache sizes
 // (IMRDMD_GEMM_TUNE=off pins the historical 256/128/512). Edge tiles
 // (rows < MR or width < NR) run the same kernel into a zero-padded
 // scratch tile and merge the valid region, so the hot path has no
@@ -43,7 +37,7 @@ import (
 // bit for bit (mul_parallel_test.go and gemm_test.go pin this).
 const (
 	mrMax = 8  // tallest micro-kernel tile (AVX-512 tiers)
-	nrMax = 16 // widest micro-kernel tile (float32 AVX-512)
+	nrMax = 16 // widest micro-kernel tile (AVX-512)
 
 	// gemmMinFlops is the m·k·n product below which the naive loops win:
 	// packing two operands costs O(m·k + k·n) copies, which only pays for
@@ -63,64 +57,42 @@ const (
 
 // packPool supplies pack buffers for all GEMM calls in the process. It is
 // deliberately package-level (not the caller's workspace): pack buffers
-// never escape a call, every caller needs the same two size classes per
-// tier, and a shared pool keeps even ws==nil entry points allocation-free
+// never escape a call, every caller needs the same two size classes,
+// and a shared pool keeps even ws==nil entry points allocation-free
 // in steady state.
 var packPool = compute.NewWorkspace()
 
-// sliceOf reinterprets a float slice as its concrete element type (E and T
-// are the same size whenever this is called, so the cast is layout-exact).
-// It lets the generic macro-kernel hand packed strips to the non-generic,
-// per-type micro-kernels without a copy.
-func sliceOf[E, T Element](s []T) []E {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*E)(unsafe.Pointer(&s[0])), len(s))
-}
-
-// gemmKernel dispatches one register tile to the per-type, per-tier
-// micro-kernel: 4×4 f64 / 4×8 f32 on the generic and AVX2 tiers, 8×16 in
-// both precisions on the AVX-512 tier. The type branch folds per
-// instantiation; the tier is the same one gemmParams sized the packed
-// strips for.
-func gemmKernel[T Element](c []T, ldc int, ap, bp []T, kc, mode int) {
-	var z T
-	if unsafe.Sizeof(z) == 8 {
-		if gemmTier == tierAVX512 {
-			gemmKernel8x16d(sliceOf[float64](c), ldc, sliceOf[float64](ap), sliceOf[float64](bp), kc, mode)
-		} else {
-			gemmKernel4x4(sliceOf[float64](c), ldc, sliceOf[float64](ap), sliceOf[float64](bp), kc, mode)
-		}
-		return
-	}
+// gemmKernel dispatches one register tile to the tier's micro-kernel:
+// 4×4 on the generic and AVX2 tiers, 8×16 on the AVX-512 tier — the
+// tier gemmParams sized the packed strips for.
+func gemmKernel(c []float64, ldc int, ap, bp []float64, kc, mode int) {
 	if gemmTier == tierAVX512 {
-		gemmKernel8x16s(sliceOf[float32](c), ldc, sliceOf[float32](ap), sliceOf[float32](bp), kc, mode)
+		gemmKernel8x16d(c, ldc, ap, bp, kc, mode)
 	} else {
-		gemmKernel4x8(sliceOf[float32](c), ldc, sliceOf[float32](ap), sliceOf[float32](bp), kc, mode)
+		gemmKernel4x4(c, ldc, ap, bp, kc, mode)
 	}
 }
 
 // view is a strided window into row-major storage: element (i, j) lives at
 // data[i*stride + j]. It lets the GEMM operate on submatrices (QR's
 // trailing columns) without copying them out first.
-type view[T Element] struct {
-	data   []T
+type view struct {
+	data   []float64
 	r, c   int
 	stride int
 }
 
-func denseView[T Element](m *GDense[T]) view[T] {
-	return view[T]{data: m.Data, r: m.R, c: m.C, stride: m.RowStride()}
+func denseView(m *Dense) view {
+	return view{data: m.Data, r: m.R, c: m.C, stride: m.RowStride()}
 }
 
 // rowsView is rows [i0, i1) of m as a view.
-func rowsView[T Element](m *GDense[T], i0, i1 int) view[T] {
+func rowsView(m *Dense, i0, i1 int) view {
 	s := m.RowStride()
 	if i0 == i1 {
-		return view[T]{r: 0, c: m.C, stride: s}
+		return view{r: 0, c: m.C, stride: s}
 	}
-	return view[T]{data: m.Data[i0*s:], r: i1 - i0, c: m.C, stride: s}
+	return view{data: m.Data[i0*s:], r: i1 - i0, c: m.C, stride: s}
 }
 
 // gemmView computes dst = A·B (mode gemmSet), dst += A·B (gemmAdd) or
@@ -128,7 +100,7 @@ func rowsView[T Element](m *GDense[T], i0, i1 int) view[T] {
 // when bT). dst must be sized M×N with M = rows(A), N = cols(B); the
 // shared inner dimension K is taken from the operands. dst must not
 // overlap a or b. A nil engine (or a small problem) runs serially.
-func gemmView[T Element](e *compute.Engine, dst view[T], a view[T], aT bool, b view[T], bT bool, mode int) {
+func gemmView(e *compute.Engine, dst view, a view, aT bool, b view, bT bool, mode int) {
 	m, n := dst.r, dst.c
 	k := a.c
 	if aT {
@@ -155,7 +127,7 @@ func gemmView[T Element](e *compute.Engine, dst view[T], a view[T], aT bool, b v
 		}
 		return
 	}
-	p := gemmParams[T]()
+	p := gemmParams
 	mr, nr := p.mr, p.nr
 
 	// The parallel unit is normally a full MC panel. A matrix shorter than
@@ -177,7 +149,7 @@ func gemmView[T Element](e *compute.Engine, dst view[T], a view[T], aT bool, b v
 	// maxima, so small multiplies after an autotuned NC/KC widening do not
 	// borrow multi-megabyte size classes they never touch.
 	kcMax := min(p.kc, k)
-	bp := compute.GetFloats[T](packPool, ((min(p.nc, n)+nr-1)/nr)*nr*kcMax)
+	bp := packPool.GetF64(((min(p.nc, n) + nr - 1) / nr) * nr * kcMax)
 	for jc := 0; jc < n; jc += p.nc {
 		nc := min(p.nc, n-jc)
 		for pc := 0; pc < k; pc += p.kc {
@@ -188,14 +160,14 @@ func gemmView[T Element](e *compute.Engine, dst view[T], a view[T], aT bool, b v
 				md = gemmAdd
 			}
 			run := func(lo, hi int) {
-				ap := compute.GetFloats[T](packPool, unit*kcMax)
+				ap := packPool.GetF64(unit * kcMax)
 				for pi := lo; pi < hi; pi++ {
 					ic := pi * unit
 					mc := min(unit, m-ic)
 					packA(ap, a, aT, ic, mc, pc, kc, mr)
 					gemmMacro(dst, ap, bp, ic, mc, jc, nc, kc, mr, nr, md)
 				}
-				compute.PutFloats(packPool, ap)
+				packPool.PutF64(ap)
 			}
 			if parallel {
 				e.ParallelFor(panels, run)
@@ -204,15 +176,15 @@ func gemmView[T Element](e *compute.Engine, dst view[T], a view[T], aT bool, b v
 			}
 		}
 	}
-	compute.PutFloats(packPool, bp)
+	packPool.PutF64(bp)
 }
 
 // gemmMacro runs the register-tile sweep of one packed A panel against the
 // packed B panel: B strips outer (each strip stays L1-resident across the
 // panel's rows), A strips inner. Interior tiles store straight into dst;
 // edge tiles go through a zero-padded scratch tile and merge.
-func gemmMacro[T Element](dst view[T], ap, bp []T, ic, mc, jc, nc, kc, mr, nr, mode int) {
-	var tile [mrMax * nrMax]T
+func gemmMacro(dst view, ap, bp []float64, ic, mc, jc, nc, kc, mr, nr, mode int) {
+	var tile [mrMax * nrMax]float64
 	for js := 0; js < nc; js += nr {
 		bstrip := bp[(js/nr)*kc*nr:]
 		w := min(nr, nc-js)

@@ -5,13 +5,11 @@ package mat
 // amd64 kernel dispatch and feature detection. Two assembly tiers exist
 // above the portable kernels:
 //
-//	AVX2+FMA (gemm_amd64.s, gemm32_amd64.s): 4×4 f64 / 4×8 f32 tiles in
-//	YMM accumulators — one 256-bit B load, MR broadcasts and MR fused
-//	multiply-adds per k step.
-//	AVX-512 (same files): 8×16 tiles in both precisions held in ZMM
-//	accumulators — f32 rows are one 512-bit vector (eight embedded-
-//	broadcast FMAs per k step), f64 rows two (each A broadcast feeds a
-//	pair of FMAs, halving load-port pressure per flop).
+//	AVX2+FMA (gemm_amd64.s): 4×4 tiles in YMM accumulators — one
+//	256-bit B load, MR broadcasts and MR fused multiply-adds per k step.
+//	AVX-512 (same file): 8×16 tiles held in ZMM accumulators — each row
+//	is two 512-bit vectors, so each A broadcast feeds a pair of FMAs,
+//	halving load-port pressure per flop.
 //
 // Detection runs once at package init via CPUID/XGETBV: the AVX-512 tier
 // additionally requires the OS to save ZMM/opmask state (XCR0) and the

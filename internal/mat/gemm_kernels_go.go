@@ -97,45 +97,6 @@ func gemmKernel4x4Go(c []float64, ldc int, ap, bp []float64, kc, mode int) {
 	}
 }
 
-// gemmKernel4x8Go is the portable float32 4×8 kernel: one 256-bit vector
-// of floats wide — the same register shape as the f64 4×4 at twice the
-// element count.
-func gemmKernel4x8Go(c []float32, ldc int, ap, bp []float32, kc, mode int) {
-	var acc [4][8]float32
-	ia, ib := 0, 0
-	for p := 0; p < kc; p++ {
-		b := bp[ib : ib+8 : ib+8]
-		a := ap[ia : ia+4 : ia+4]
-		for r := 0; r < 4; r++ {
-			ar := a[r]
-			cr := &acc[r]
-			for t := 0; t < 8; t++ {
-				cr[t] += ar * b[t]
-			}
-		}
-		ia += 4
-		ib += 8
-	}
-	for r := 0; r < 4; r++ {
-		drow := c[r*ldc : r*ldc+8 : r*ldc+8]
-		cr := &acc[r]
-		switch mode {
-		case gemmAdd:
-			for t := 0; t < 8; t++ {
-				drow[t] += cr[t]
-			}
-		case gemmSub:
-			for t := 0; t < 8; t++ {
-				drow[t] -= cr[t]
-			}
-		default:
-			for t := 0; t < 8; t++ {
-				drow[t] = cr[t]
-			}
-		}
-	}
-}
-
 // gemmKernel8x16dGo is the portable float64 8×16 kernel matching the
 // AVX-512 tile shape: eight rows by two 512-bit vectors of doubles. It
 // exists so the AVX-512 tier has a reference with identical tile geometry
@@ -143,44 +104,6 @@ func gemmKernel4x8Go(c []float32, ldc int, ap, bp []float32, kc, mode int) {
 // links on builds without the asm.
 func gemmKernel8x16dGo(c []float64, ldc int, ap, bp []float64, kc, mode int) {
 	var acc [8][16]float64
-	ia, ib := 0, 0
-	for p := 0; p < kc; p++ {
-		b := bp[ib : ib+16 : ib+16]
-		a := ap[ia : ia+8 : ia+8]
-		for r := 0; r < 8; r++ {
-			ar := a[r]
-			cr := &acc[r]
-			for t := 0; t < 16; t++ {
-				cr[t] += ar * b[t]
-			}
-		}
-		ia += 8
-		ib += 16
-	}
-	for r := 0; r < 8; r++ {
-		drow := c[r*ldc : r*ldc+16 : r*ldc+16]
-		cr := &acc[r]
-		switch mode {
-		case gemmAdd:
-			for t := 0; t < 16; t++ {
-				drow[t] += cr[t]
-			}
-		case gemmSub:
-			for t := 0; t < 16; t++ {
-				drow[t] -= cr[t]
-			}
-		default:
-			for t := 0; t < 16; t++ {
-				drow[t] = cr[t]
-			}
-		}
-	}
-}
-
-// gemmKernel8x16sGo is the portable float32 8×16 kernel matching the
-// AVX-512 tile shape: eight rows by one 512-bit vector of floats.
-func gemmKernel8x16sGo(c []float32, ldc int, ap, bp []float32, kc, mode int) {
-	var acc [8][16]float32
 	ia, ib := 0, 0
 	for p := 0; p < kc; p++ {
 		b := bp[ib : ib+16 : ib+16]

@@ -12,7 +12,7 @@ import (
 // refMul is the retained naive reference: a plain triple loop over the
 // logical (possibly transposed) operands, accumulating in a fresh output.
 // Every packed-GEMM property test checks against it.
-func refMul(a view[float64], aT bool, b view[float64], bT bool) *Dense {
+func refMul(a view, aT bool, b view, bT bool) *Dense {
 	ar, ac := a.r, a.c
 	if aT {
 		ar, ac = ac, ar

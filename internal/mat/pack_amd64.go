@@ -2,17 +2,14 @@
 
 package mat
 
-import "unsafe"
-
 // On amd64 the four-row interleave — the hot inner loop of packA (plain
 // orientation) and packB (transposed orientation), ~15% of GEMM time at
 // 512³ when run as scalar Go — is an AVX shuffle kernel: load one vector
-// from each of the four rows, transpose the register block (4×4 doubles
-// via VUNPCKL/HPD + VPERM2F128, 4×8 floats via VUNPCKL/HPS + VSHUFPS +
-// VEXTRACTF128) and store whole packed columns. The asm handles the
-// vector-aligned prefix; the ragged column tail falls through to the Go
-// loop shifted past it. The generic tier keeps everything in Go so the
-// forced-fallback CI leg exercises the portable path end to end.
+// from each of the four rows, transpose the 4×4 register block via
+// VUNPCKL/HPD + VPERM2F128 and store whole packed columns. The asm
+// handles the vector-aligned prefix; the ragged column tail falls through
+// to the Go loop shifted past it. The generic tier keeps everything in Go
+// so the forced-fallback CI leg exercises the portable path end to end.
 
 // interleave4F64 interleaves four float64 rows: dst[p·dstStride+r] =
 // src[r·srcStride+p] for r < 4, p < n. n must be a multiple of 4;
@@ -22,30 +19,14 @@ import "unsafe"
 //go:noescape
 func interleave4F64(dst []float64, dstStride int, src []float64, srcStride, n int)
 
-// interleave4F32 is the float32 variant; n must be a multiple of 8.
-//
-//go:noescape
-func interleave4F32(dst []float32, dstStride int, src []float32, srcStride, n int)
-
-func interleave4[T Element](dst []T, dstStride int, src []T, srcStride, n int) {
+func interleave4(dst []float64, dstStride int, src []float64, srcStride, n int) {
 	if gemmTier == tierGeneric {
 		interleave4Go(dst, dstStride, src, srcStride, n)
 		return
 	}
-	var z T
-	if unsafe.Sizeof(z) == 8 {
-		nb := n &^ 3
-		if nb > 0 {
-			interleave4F64(sliceOf[float64](dst), dstStride, sliceOf[float64](src), srcStride, nb)
-		}
-		if nb < n {
-			interleave4Go(dst[nb*dstStride:], dstStride, src[nb:], srcStride, n-nb)
-		}
-		return
-	}
-	nb := n &^ 7
+	nb := n &^ 3
 	if nb > 0 {
-		interleave4F32(sliceOf[float32](dst), dstStride, sliceOf[float32](src), srcStride, nb)
+		interleave4F64(dst, dstStride, src, srcStride, nb)
 	}
 	if nb < n {
 		interleave4Go(dst[nb*dstStride:], dstStride, src[nb:], srcStride, n-nb)

@@ -141,23 +141,3 @@ func TestQRRStridedInput(t *testing.T) {
 		}
 	}
 }
-
-// TestQRRFloat32: the generic kernel's float32 instantiation meets the
-// same Gram identity at single-precision tolerance.
-func TestQRRFloat32(t *testing.T) {
-	a := randDense(rand.New(rand.NewSource(103)), 200, 17)
-	a32 := NewOf[float32](a.R, a.C)
-	for i, v := range a.Data {
-		a32.Data[i] = float32(v)
-	}
-	r32 := QRRWith(nil, a32)
-	r := NewDense(r32.R, r32.C)
-	back := NewDense(a.R, a.C)
-	for i, v := range r32.Data {
-		r.Data[i] = float64(v)
-	}
-	for i, v := range a32.Data {
-		back.Data[i] = float64(v)
-	}
-	checkQRR(t, back, r, 1e-5)
-}

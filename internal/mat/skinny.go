@@ -1,10 +1,6 @@
 package mat
 
-import (
-	"unsafe"
-
-	"imrdmd/internal/compute"
-)
+import "imrdmd/internal/compute"
 
 // Pack-free dispatch tier for small and skinny shapes. The packed GEMM
 // (gemm.go) buys its throughput by copying both operands into
@@ -21,7 +17,7 @@ import (
 //	small panel     m, n ≤ 64   reorth's q×q collectives
 //
 // For these the driver below reads A and B in place. One micro-kernel
-// per precision serves all shapes through a unified addressing scheme:
+// serves all shapes through a unified addressing scheme:
 // element A(r, p) lives at a[r·aOff + p·aStep], so a plain operand uses
 // (aOff, aStep) = (lda, 1) and a transposed one (1, lda) — the transpose
 // costs nothing, exactly as packing absorbed it before.
@@ -39,30 +35,23 @@ import (
 // that already cleared gemmMinFlops should take the pack-free tier.
 // The predicates mirror the shapes above; n ≤ NR also catches every
 // multiply whose packed route would pad B's single strip to NR columns.
-func skinnyShape[T Element](m, k, n int) bool {
+func skinnyShape(m, k, n int) bool {
 	if !gemmSkinny {
 		return false
 	}
-	p := gemmParams[T]()
+	p := gemmParams
 	return n <= p.nr || m < p.mr || k <= p.nr || (m <= 64 && n <= 64)
 }
 
-// skinnyTile returns the register-tile geometry for element type T on
-// the active tier: tr rows by one vector of lanes columns. The generic
-// tier borrows the 512-bit geometry — the portable kernel handles any
-// (rows ≤ tr, w ≤ lanes) directly, and wider tiles mean fewer calls.
-func skinnyTile[T Element]() (tr, lanes int) {
-	var z T
+// skinnyTile returns the register-tile geometry on the active tier: tr
+// rows by one vector of lanes columns. The generic tier borrows the
+// 512-bit geometry — the portable kernel handles any (rows ≤ tr,
+// w ≤ lanes) directly, and wider tiles mean fewer calls.
+func skinnyTile() (tr, lanes int) {
 	if gemmTier == tierAVX2 {
-		if unsafe.Sizeof(z) == 8 {
-			return 4, 4
-		}
-		return 4, 8
+		return 4, 4
 	}
-	if unsafe.Sizeof(z) == 8 {
-		return 8, 8
-	}
-	return 8, 16
+	return 8, 8
 }
 
 // skinnyGemm computes dst = A·B (mode gemmSet), dst += A·B (gemmAdd) or
@@ -74,7 +63,7 @@ func skinnyTile[T Element]() (tr, lanes int) {
 // splits the row tiles across engine workers; every output element is
 // owned by one worker with the serial accumulation order, so engine and
 // serial runs agree bit for bit.
-func skinnyGemm[T Element](e *compute.Engine, dst view[T], a view[T], aT bool, b view[T], mode int) {
+func skinnyGemm(e *compute.Engine, dst view, a view, aT bool, b view, mode int) {
 	m, n := dst.r, dst.c
 	k := a.c
 	aOff, aStep := a.stride, 1
@@ -99,8 +88,8 @@ func skinnyGemm[T Element](e *compute.Engine, dst view[T], a view[T], aT bool, b
 		}
 		return
 	}
-	p := gemmParams[T]()
-	tr, lanes := skinnyTile[T]()
+	p := gemmParams
+	tr, lanes := skinnyTile()
 	kcMax := min(p.kc, k)
 	tiles := (m + tr - 1) / tr
 
@@ -111,8 +100,8 @@ func skinnyGemm[T Element](e *compute.Engine, dst view[T], a view[T], aT bool, b
 		// merge, leaving valid elements' chains untouched. The generic
 		// kernel takes short tiles directly. Scratch is borrowed lazily:
 		// tile-aligned m (the common case) never allocates.
-		var ascratch []T
-		var ctile [mrMax * nrMax]T
+		var ascratch []float64
+		var ctile [mrMax * nrMax]float64
 		for ti := lo; ti < hi; ti++ {
 			i0 := ti * tr
 			rows := min(tr, m-i0)
@@ -129,11 +118,11 @@ func skinnyGemm[T Element](e *compute.Engine, dst view[T], a view[T], aT bool, b
 					bb := b.data[pc*b.stride+jc:]
 					if direct {
 						ab := a.data[i0*aOff+pc*aStep:]
-						skinnyKernel(dst.data[ci:], dst.stride, ab, aOff, aStep, bb, b.stride, rows, w, kc, md)
+						skinnyKern(dst.data[ci:], dst.stride, ab, aOff, aStep, bb, b.stride, rows, w, kc, md)
 						continue
 					}
 					if ascratch == nil {
-						ascratch = compute.GetFloats[T](packPool, tr*kcMax)
+						ascratch = packPool.GetF64(tr * kcMax)
 					}
 					for r := 0; r < rows; r++ {
 						srow := ascratch[r*kc : r*kc+kc]
@@ -151,7 +140,7 @@ func skinnyGemm[T Element](e *compute.Engine, dst view[T], a view[T], aT bool, b
 					for i := range ctile[:tr*lanes] {
 						ctile[i] = 0
 					}
-					skinnyKernel(ctile[:], lanes, ascratch, kc, 1, bb, b.stride, tr, w, kc, gemmSet)
+					skinnyKern(ctile[:], lanes, ascratch, kc, 1, bb, b.stride, tr, w, kc, gemmSet)
 					for r := 0; r < rows; r++ {
 						drow := dst.data[ci+r*dst.stride : ci+r*dst.stride+w]
 						trow := ctile[r*lanes : r*lanes+w]
@@ -172,7 +161,7 @@ func skinnyGemm[T Element](e *compute.Engine, dst view[T], a view[T], aT bool, b
 			}
 		}
 		if ascratch != nil {
-			compute.PutFloats(packPool, ascratch)
+			packPool.PutF64(ascratch)
 		}
 	}
 	if fanOut(e, m*k*n) && tiles > 1 {
@@ -182,26 +171,13 @@ func skinnyGemm[T Element](e *compute.Engine, dst view[T], a view[T], aT bool, b
 	}
 }
 
-// skinnyKernel dispatches one register tile to the per-type kernel
-// (asm on the AVX tiers for full-height tiles, the portable twin
-// otherwise). c must expose (rows−1)·ldc+w elements, a the addressing
-// span (rows−1)·aOff+(kc−1)·aStep+1, b (kc−1)·ldb+w.
-func skinnyKernel[T Element](c []T, ldc int, a []T, aOff, aStep int, b []T, ldb, rows, w, kc, mode int) {
-	var z T
-	if unsafe.Sizeof(z) == 8 {
-		skinnyKern64(sliceOf[float64](c), ldc, sliceOf[float64](a), aOff, aStep, sliceOf[float64](b), ldb, rows, w, kc, mode)
-		return
-	}
-	skinnyKern32(sliceOf[float32](c), ldc, sliceOf[float32](a), aOff, aStep, sliceOf[float32](b), ldb, rows, w, kc, mode)
-}
-
 // skinnyKernGo is the portable micro-kernel, shared by the generic tier
 // and non-amd64 builds. Accumulation is per-element ascending-p unfused
 // multiply-add — the same chain as the packed portable kernels
 // (gemm_kernels_go.go), which Go does not contract into FMA on amd64 —
 // so packed and pack-free results match bit for bit on the generic tier.
-func skinnyKernGo[T Element](c []T, ldc int, a []T, aOff, aStep int, b []T, ldb, rows, w, kc, mode int) {
-	var acc [mrMax][nrMax]T
+func skinnyKernGo(c []float64, ldc int, a []float64, aOff, aStep int, b []float64, ldb, rows, w, kc, mode int) {
+	var acc [mrMax][nrMax]float64
 	for p := 0; p < kc; p++ {
 		brow := b[p*ldb : p*ldb+w]
 		ai := p * aStep

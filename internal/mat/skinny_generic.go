@@ -5,10 +5,6 @@ package mat
 // Non-amd64 builds run the portable skinny kernel at every tile shape
 // (the tier is always generic there; see gemm_generic.go).
 
-func skinnyKern64(c []float64, ldc int, a []float64, aOff, aStep int, b []float64, ldb, rows, w, kc, mode int) {
-	skinnyKernGo(c, ldc, a, aOff, aStep, b, ldb, rows, w, kc, mode)
-}
-
-func skinnyKern32(c []float32, ldc int, a []float32, aOff, aStep int, b []float32, ldb, rows, w, kc, mode int) {
+func skinnyKern(c []float64, ldc int, a []float64, aOff, aStep int, b []float64, ldb, rows, w, kc, mode int) {
 	skinnyKernGo(c, ldc, a, aOff, aStep, b, ldb, rows, w, kc, mode)
 }

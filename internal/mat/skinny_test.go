@@ -33,7 +33,7 @@ var skinnyShapes = []struct {
 
 // TestSkinnyMatchesPackedBitwise runs every skinny shape through both
 // the pack-free driver and the packed gemmView under every reachable
-// tier, in both precisions and all three store modes, and requires the
+// tier, in all three store modes, and requires the
 // outputs to agree bit for bit.
 func TestSkinnyMatchesPackedBitwise(t *testing.T) {
 	for _, tier := range hostTiers() {
@@ -48,8 +48,6 @@ func TestSkinnyMatchesPackedBitwise(t *testing.T) {
 					}
 					a := randDense(rng, ar, ac)
 					b := randDense(rng, c.k, c.n)
-					a32 := randDense32(rng, ar, ac)
-					b32 := randDense32(rng, c.k, c.n)
 					for mode := gemmSet; mode <= gemmSub; mode++ {
 						packed := randDense(rng, c.m, c.n)
 						free := packed.Clone()
@@ -59,17 +57,6 @@ func TestSkinnyMatchesPackedBitwise(t *testing.T) {
 							if packed.Data[i] != free.Data[i] {
 								t.Fatalf("f64 %s aT=%v mode=%d: element %d: packed %v vs skinny %v",
 									c.name, aT, mode, i, packed.Data[i], free.Data[i])
-							}
-						}
-
-						packed32 := randDense32(rng, c.m, c.n)
-						free32 := packed32.Clone()
-						gemmView(nil, denseView(packed32), denseView(a32), aT, denseView(b32), false, mode)
-						skinnyGemm(nil, denseView(free32), denseView(a32), aT, denseView(b32), mode)
-						for i := range packed32.Data {
-							if packed32.Data[i] != free32.Data[i] {
-								t.Fatalf("f32 %s aT=%v mode=%d: element %d: packed %v vs skinny %v",
-									c.name, aT, mode, i, packed32.Data[i], free32.Data[i])
 							}
 						}
 					}
@@ -86,9 +73,9 @@ func TestSkinnyWidthSweep(t *testing.T) {
 	for _, tier := range hostTiers() {
 		t.Run(tier.String(), func(t *testing.T) {
 			forceTier(t, tier)
-			_, lanes64 := skinnyTile[float64]()
+			_, lanes := skinnyTile()
 			rng := rand.New(rand.NewSource(59))
-			for w := 1; w <= lanes64; w++ {
+			for w := 1; w <= lanes; w++ {
 				for _, m := range []int{8, 48, 53} {
 					a := randDense(rng, m, 300)
 					b := randDense(rng, 300, w)
@@ -96,23 +83,6 @@ func TestSkinnyWidthSweep(t *testing.T) {
 					skinnyGemm(nil, denseView(got), denseView(a), false, denseView(b), gemmSet)
 					want := refMul(denseView(a), false, denseView(b), false)
 					assertClose(t, "f64", want, got, 1e-11)
-				}
-			}
-			_, lanes32 := skinnyTile[float32]()
-			for w := 1; w <= lanes32; w++ {
-				a32 := randDense32(rng, 48, 300)
-				b32 := randDense32(rng, 300, w)
-				got32 := NewDense32(48, w)
-				skinnyGemm(nil, denseView(got32), denseView(a32), false, denseView(b32), gemmSet)
-				want := refMul(denseView(toF64(a32)), false, denseView(toF64(b32)), false)
-				for i := range got32.Data {
-					d := want.Data[i] - float64(got32.Data[i])
-					if d < 0 {
-						d = -d
-					}
-					if d > f32Tol*(1+want.MaxAbs()) {
-						t.Fatalf("f32 w=%d: element %d: %v vs %v", w, i, got32.Data[i], want.Data[i])
-					}
 				}
 			}
 		})
@@ -168,7 +138,7 @@ func TestSkinnyStridedOperands(t *testing.T) {
 // shapes must not, and gemmMinFlops still gates the naive path below —
 // the skinny tier slots between the two without moving either boundary.
 func TestSkinnyRoutingBoundary(t *testing.T) {
-	p := gemmParams[float64]()
+	p := gemmParams
 	if !gemmSkinny {
 		t.Skip("IMRDMD_GEMM_SKINNY=off")
 	}
@@ -194,7 +164,7 @@ func TestSkinnyRoutingBoundary(t *testing.T) {
 		{"panel too tall", 65, 10000, 65, false},
 	}
 	for _, c := range cases {
-		if got := skinnyShape[float64](c.m, c.k, c.n); got != c.want {
+		if got := skinnyShape(c.m, c.k, c.n); got != c.want {
 			t.Errorf("%s: skinnyShape(%d,%d,%d) = %v, want %v", c.name, c.m, c.k, c.n, got, c.want)
 		}
 	}

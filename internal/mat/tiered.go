@@ -6,9 +6,9 @@ import (
 	"imrdmd/internal/compute"
 )
 
-// Tiered column storage: the memory-hierarchy form of the multifidelity
-// trade the precision tiers make for arithmetic (DESIGN.md §6, §10). A
-// TieredCols holds a growing sequence of columns where the trailing "hot"
+// Tiered column storage: the multifidelity trade applied to resident
+// memory (DESIGN.md §10). It is the one place float32 survives: as
+// storage, never as arithmetic (DESIGN.md §6). A TieredCols holds a growing sequence of columns where the trailing "hot"
 // window stays in float64 and everything older is demoted to float32
 // chunks — half the resident bytes for history that is only ever read
 // back for full-resolution reconstruction error, segment recompute after
@@ -157,7 +157,7 @@ func (t *TieredCols) CopyWindow(ws *compute.Workspace, lo, hi int) *Dense {
 	if lo < 0 || hi > t.Cols() || lo > hi {
 		panic(fmt.Sprintf("mat: TieredCols.CopyWindow [%d,%d) out of range for %d cols", lo, hi, t.Cols()))
 	}
-	out := GetDenseRawOf[float64](ws, t.r, hi-lo)
+	out := GetDenseRaw(ws, t.r, hi-lo)
 	t.fillWindow(out, lo, hi)
 	return out
 }
@@ -193,7 +193,7 @@ func (t *TieredCols) fillWindow(out *Dense, lo, hi int) {
 // sample gather of the streaming update — runs as a per-row slice loop
 // with no tier checks.
 func (t *TieredCols) GatherCols(ws *compute.Workspace, idxs []int) *Dense {
-	out := GetDenseRawOf[float64](ws, t.r, len(idxs))
+	out := GetDenseRaw(ws, t.r, len(idxs))
 	cc := t.ColdCols()
 	allHot := true
 	for _, j := range idxs {

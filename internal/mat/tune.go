@@ -4,7 +4,6 @@ import (
 	"os"
 	"strings"
 	"time"
-	"unsafe"
 
 	"imrdmd/internal/compute"
 )
@@ -12,12 +11,12 @@ import (
 // This file picks the GEMM kernel tier and cache-blocking parameters at
 // boot. Three tiers exist:
 //
-//	tierGeneric — portable Go micro-kernels (4×4 f64, 4×8 f32)
-//	tierAVX2    — 256-bit asm micro-kernels (4×4 f64, 4×8 f32)
-//	tierAVX512  — 512-bit asm micro-kernels (8×16 in both precisions)
+//	tierGeneric — portable Go micro-kernels (4×4)
+//	tierAVX2    — 256-bit asm micro-kernels (4×4)
+//	tierAVX512  — 512-bit asm micro-kernels (8×16)
 //
-// and each (tier, element type) pair gets its own blockParams: the
-// micro-tile geometry MR×NR plus the Goto/BLIS cache blocks KC/MC/NC.
+// and the active tier gets one blockParams: the micro-tile geometry
+// MR×NR plus the Goto/BLIS cache blocks KC/MC/NC.
 // Geometry follows the tier (a 512-bit kernel wants an 8-row strip);
 // blocking follows the machine, derived once at boot from the probed
 // cache sizes (CPUID on amd64, a bounded timed sweep elsewhere or when
@@ -71,9 +70,8 @@ func (t kernelTier) String() string {
 	}
 }
 
-// blockParams is the per-element-type kernel configuration: micro-tile
-// geometry (mr rows × nr columns, nr one vector of elements) and the
-// cache-blocking sizes consulted by gemmView.
+// blockParams is the kernel configuration: micro-tile geometry (mr rows
+// × nr columns) and the cache-blocking sizes consulted by gemmView.
 type blockParams struct {
 	mr, nr     int
 	kc, mc, nc int
@@ -87,25 +85,14 @@ type cacheInfo struct {
 
 // Package-level kernel configuration, resolved once in dependency order:
 // tier first (hardware capped by IMRDMD_GEMM_KERNEL), then the cache
-// probe (skipped under IMRDMD_GEMM_TUNE=off), then per-type blocking.
+// probe (skipped under IMRDMD_GEMM_TUNE=off), then the blocking.
 var (
 	gemmTuned    = os.Getenv("IMRDMD_GEMM_TUNE") != "off"
 	gemmSkinny   = os.Getenv("IMRDMD_GEMM_SKINNY") != "off"
 	gemmTier     = resolveTier(detectKernelTier(), os.Getenv("IMRDMD_GEMM_KERNEL"))
 	kernelCaches = probeCaches(gemmTuned)
-	bp64         = deriveParams(gemmTier, 8, kernelCaches, gemmTuned, compute.Default().Workers())
-	bp32         = deriveParams(gemmTier, 4, kernelCaches, gemmTuned, compute.Default().Workers())
+	gemmParams   = deriveParams(gemmTier, kernelCaches, gemmTuned, compute.Default().Workers())
 )
-
-// gemmParams returns the active blocking for element type T. The sizeof
-// branch folds per instantiation; the var read is the only runtime cost.
-func gemmParams[T Element]() blockParams {
-	var z T
-	if unsafe.Sizeof(z) == 8 {
-		return bp64
-	}
-	return bp32
-}
 
 // resolveTier caps the detected tier with the IMRDMD_GEMM_KERNEL knob.
 // The env can lower the tier (forcing fallback paths into CI on any
@@ -138,7 +125,7 @@ func probeCaches(tuned bool) cacheInfo {
 	return ci
 }
 
-// deriveParams computes the blocking for one (tier, element size) pair.
+// deriveParams computes the blocking for one tier.
 // Derivation targets (the standard Goto/BLIS residency argument):
 //
 //	KC·NR·esize ≈ L1d/2     one packed B strip stays L1-resident across a
@@ -159,12 +146,13 @@ func probeCaches(tuned bool) cacheInfo {
 // workers is the engine fan-out width (engine.Workers()); NC is the only
 // output that depends on it — MC and KC are per-lane L2/L1 quantities and
 // the caches below L3 are private per core.
-func deriveParams(tier kernelTier, esize int, caches cacheInfo, tuned bool, workers int) blockParams {
-	p := blockParams{mr: 4, nr: 32 / esize, kc: 256, mc: 128, nc: 512}
+func deriveParams(tier kernelTier, caches cacheInfo, tuned bool, workers int) blockParams {
+	const esize = 8 // bytes per float64
+	p := blockParams{mr: 4, nr: 4, kc: 256, mc: 128, nc: 512}
 	if tier == tierAVX512 {
-		// 8×16 in both precisions: one 512-bit vector of floats per row,
-		// two of doubles — the doubled f64 width halves the broadcast-load
-		// pressure per FMA, which is what the 8-wide tile is bound by.
+		// 8×16: two 512-bit vectors of doubles per row — the doubled
+		// width halves the broadcast-load pressure per FMA, which is what
+		// the 8-wide tile is bound by.
 		p.mr, p.nr = 8, 16
 	}
 	if !tuned {
@@ -269,8 +257,8 @@ func sweepCaches() cacheInfo {
 	return ci
 }
 
-// KernelParams is the public mirror of one element type's blocking, as
-// reported by Kernel (and recorded in paperbench's BENCH snapshots so
+// KernelParams is the public mirror of the GEMM blocking, as reported by
+// Kernel (and recorded in paperbench's BENCH snapshots so
 // perf trajectories are comparable across hosts).
 type KernelParams struct {
 	MR, NR, KC, MC, NC int
@@ -289,8 +277,11 @@ type KernelInfo struct {
 	// L1D, L2, L3 are the probed cache sizes in bytes (0 = unknown or
 	// probing skipped).
 	L1D, L2, L3 int
-	// F64 and F32 are the per-precision tile geometry and blocking.
-	F64, F32 KernelParams
+	// F64 is the tile geometry and blocking.
+	F64 KernelParams
+	// F32 is always zero: the float32 GEMM tier is gone (DESIGN.md §6).
+	// The field stays while the benchmark harness still records it.
+	F32 KernelParams
 }
 
 // Kernel reports the boot-time kernel configuration.
@@ -305,7 +296,6 @@ func Kernel() KernelInfo {
 		L1D:    kernelCaches.l1d,
 		L2:     kernelCaches.l2,
 		L3:     kernelCaches.l3,
-		F64:    pub(bp64),
-		F32:    pub(bp32),
+		F64:    pub(gemmParams),
 	}
 }

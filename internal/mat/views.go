@@ -7,14 +7,14 @@ import (
 )
 
 // Views and amortized column growth. A view shares its parent's storage
-// through the GDense Stride field: the streaming-update pipeline hands out
+// through the Dense Stride field: the streaming-update pipeline hands out
 // column windows of an incoming block, and the analyzer's history matrices
 // grow by columns, without the full-matrix copies HStack-style growth
 // pays. PutDense recognizes views and never recycles their storage.
 
 // ColsView returns columns [j0, j1) of m as a view aliasing m's storage.
 // The view is valid as long as m's Data is; PutDense on it is a no-op.
-func ColsView[T Element](m *GDense[T], j0, j1 int) *GDense[T] {
+func ColsView(m *Dense, j0, j1 int) *Dense {
 	if j0 < 0 || j1 > m.C || j0 > j1 {
 		panic(fmt.Sprintf("mat: ColsView [%d,%d) out of range for %d cols", j0, j1, m.C))
 	}
@@ -23,13 +23,13 @@ func ColsView[T Element](m *GDense[T], j0, j1 int) *GDense[T] {
 	if m.R > 0 {
 		end = (m.R-1)*s + j1
 	}
-	return &GDense[T]{R: m.R, C: j1 - j0, Stride: s, Data: m.Data[j0:end:end], noPool: true}
+	return &Dense{R: m.R, C: j1 - j0, Stride: s, Data: m.Data[j0:end:end], noPool: true}
 }
 
 // RowsView returns rows [i0, i1) of m as a view aliasing m's storage.
 // The rows stay at m's stride, so the view is tightly packed only when m
 // is; PutDense on it is a no-op.
-func RowsView[T Element](m *GDense[T], i0, i1 int) *GDense[T] {
+func RowsView(m *Dense, i0, i1 int) *Dense {
 	if i0 < 0 || i1 > m.R || i0 > i1 {
 		panic(fmt.Sprintf("mat: RowsView [%d,%d) out of range for %d rows", i0, i1, m.R))
 	}
@@ -38,7 +38,7 @@ func RowsView[T Element](m *GDense[T], i0, i1 int) *GDense[T] {
 	if i1 > i0 {
 		end = (i1-1)*s + m.C
 	}
-	return &GDense[T]{R: i1 - i0, C: m.C, Stride: s, Data: m.Data[i0*s : end : end], noPool: true}
+	return &Dense{R: i1 - i0, C: m.C, Stride: s, Data: m.Data[i0*s : end : end], noPool: true}
 }
 
 // GrowColsWith appends b's columns to m — the amortized replacement for
@@ -52,7 +52,7 @@ func RowsView[T Element](m *GDense[T], i0, i1 int) *GDense[T] {
 //
 // The result carries Stride = capacity, so consumers must go through the
 // stride-aware accessors (every kernel in this package does).
-func GrowColsWith[T Element](ws *compute.Workspace, m, b *GDense[T]) *GDense[T] {
+func GrowColsWith(ws *compute.Workspace, m, b *Dense) *Dense {
 	if m.R != b.R {
 		panic("mat: GrowCols row mismatch")
 	}
@@ -69,7 +69,7 @@ func GrowColsWith[T Element](ws *compute.Workspace, m, b *GDense[T]) *GDense[T] 
 	// power-of-two class anyway, so claiming that slack as column headroom
 	// gives amortized 2× growth without ever asking for a colder (larger)
 	// size class than a plain exact-size reallocation would.
-	out := GetDenseRawOf[T](ws, m.R, newC)
+	out := GetDenseRaw(ws, m.R, newC)
 	capc := newC
 	if c := cap(out.Data) / m.R; c > newC {
 		capc = c

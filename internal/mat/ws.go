@@ -3,44 +3,32 @@ package mat
 import "imrdmd/internal/compute"
 
 // This file adapts the compute.Workspace buffer pool to the matrix types:
-// shape-keyed Get/Put of GDense[T] and CDense scratch, generic over the
-// element tier, plus the float64 ↔ float32 conversions that move data
-// between the precision tiers. A nil workspace always degrades to plain
-// allocation, so every With-variant can be called with ws == nil.
+// shape-keyed Get/Put of Dense and CDense scratch. A nil workspace always
+// degrades to plain allocation, so every With-variant can be called with
+// ws == nil.
 
-// GetDenseOf borrows a zeroed r×c matrix of element type T from ws (nil
-// ws allocates). Return it with PutDense when done.
-func GetDenseOf[T Element](ws *compute.Workspace, r, c int) *GDense[T] {
-	return &GDense[T]{R: r, C: c, Data: compute.GetFloatsZero[T](ws, r*c)}
-}
-
-// GetDense borrows a zeroed r×c float64 matrix from ws.
+// GetDense borrows a zeroed r×c matrix from ws (nil ws allocates).
+// Return it with PutDense when done.
 func GetDense(ws *compute.Workspace, r, c int) *Dense {
-	return GetDenseOf[float64](ws, r, c)
+	return &Dense{R: r, C: c, Data: ws.GetF64Zero(r * c)}
 }
 
-// GetDenseRawOf borrows an r×c matrix of element type T whose contents
-// are unspecified — for callers that overwrite every element before
-// reading (e.g. feeding dmd.ReconstructModesInto, which zeroes its output
-// itself).
-func GetDenseRawOf[T Element](ws *compute.Workspace, r, c int) *GDense[T] {
-	return &GDense[T]{R: r, C: c, Data: compute.GetFloats[T](ws, r*c)}
-}
-
-// GetDenseRaw borrows an r×c float64 matrix with unspecified contents.
+// GetDenseRaw borrows an r×c matrix whose contents are unspecified — for
+// callers that overwrite every element before reading (e.g. feeding
+// dmd.ReconstructModesInto, which zeroes its output itself).
 func GetDenseRaw(ws *compute.Workspace, r, c int) *Dense {
-	return GetDenseRawOf[float64](ws, r, c)
+	return &Dense{R: r, C: c, Data: ws.GetF64(r * c)}
 }
 
 // PutDense returns a matrix's storage to the pool. The matrix must not be
 // used afterwards. Nil m or ws is a no-op, as is a view (ColsView,
 // RowsView): a view's storage belongs to its parent, so recycling it here
 // would hand aliased memory to an unrelated borrower.
-func PutDense[T Element](ws *compute.Workspace, m *GDense[T]) {
+func PutDense(ws *compute.Workspace, m *Dense) {
 	if m == nil || m.noPool {
 		return
 	}
-	compute.PutFloats(ws, m.Data)
+	ws.PutF64(m.Data)
 	m.Data = nil
 }
 
@@ -59,8 +47,8 @@ func PutCDense(ws *compute.Workspace, m *CDense) {
 }
 
 // CloneWith copies m into a (tightly packed) matrix borrowed from ws.
-func CloneWith[T Element](ws *compute.Workspace, m *GDense[T]) *GDense[T] {
-	out := GetDenseRawOf[T](ws, m.R, m.C)
+func CloneWith(ws *compute.Workspace, m *Dense) *Dense {
+	out := GetDenseRaw(ws, m.R, m.C)
 	if m.packed() {
 		copy(out.Data, m.Data)
 		return out
@@ -72,11 +60,11 @@ func CloneWith[T Element](ws *compute.Workspace, m *GDense[T]) *GDense[T] {
 }
 
 // ColSliceWith copies columns [j0, j1) of m into a matrix borrowed from ws.
-func ColSliceWith[T Element](ws *compute.Workspace, m *GDense[T], j0, j1 int) *GDense[T] {
+func ColSliceWith(ws *compute.Workspace, m *Dense, j0, j1 int) *Dense {
 	if j0 < 0 || j1 > m.C || j0 > j1 {
 		panic("mat: ColSliceWith out of range")
 	}
-	out := GetDenseRawOf[T](ws, m.R, j1-j0)
+	out := GetDenseRaw(ws, m.R, j1-j0)
 	for i := 0; i < m.R; i++ {
 		copy(out.Row(i), m.Row(i)[j0:j1])
 	}
@@ -85,12 +73,12 @@ func ColSliceWith[T Element](ws *compute.Workspace, m *GDense[T], j0, j1 int) *G
 
 // SubsampleWith copies every stride-th column (starting at 0) into a
 // matrix borrowed from ws.
-func SubsampleWith[T Element](ws *compute.Workspace, m *GDense[T], stride int) *GDense[T] {
+func SubsampleWith(ws *compute.Workspace, m *Dense, stride int) *Dense {
 	if stride <= 1 {
 		return CloneWith(ws, m)
 	}
 	n := (m.C + stride - 1) / stride
-	out := GetDenseRawOf[T](ws, m.R, n)
+	out := GetDenseRaw(ws, m.R, n)
 	for i := 0; i < m.R; i++ {
 		src := m.Row(i)
 		dst := out.Row(i)
@@ -102,11 +90,11 @@ func SubsampleWith[T Element](ws *compute.Workspace, m *GDense[T], stride int) *
 }
 
 // HStackWith builds [A B] in a matrix borrowed from ws.
-func HStackWith[T Element](ws *compute.Workspace, a, b *GDense[T]) *GDense[T] {
+func HStackWith(ws *compute.Workspace, a, b *Dense) *Dense {
 	if a.R != b.R {
 		panic("mat: HStack row mismatch")
 	}
-	out := GetDenseRawOf[T](ws, a.R, a.C+b.C)
+	out := GetDenseRaw(ws, a.R, a.C+b.C)
 	for i := 0; i < a.R; i++ {
 		row := out.Row(i)
 		copy(row[:a.C], a.Row(i))
@@ -116,11 +104,11 @@ func HStackWith[T Element](ws *compute.Workspace, a, b *GDense[T]) *GDense[T] {
 }
 
 // VStackWith builds [A; B] in a matrix borrowed from ws.
-func VStackWith[T Element](ws *compute.Workspace, a, b *GDense[T]) *GDense[T] {
+func VStackWith(ws *compute.Workspace, a, b *Dense) *Dense {
 	if a.C != b.C {
 		panic("mat: VStack col mismatch")
 	}
-	out := GetDenseRawOf[T](ws, a.R+b.R, a.C)
+	out := GetDenseRaw(ws, a.R+b.R, a.C)
 	for i := 0; i < a.R; i++ {
 		copy(out.Row(i), a.Row(i))
 	}
@@ -131,8 +119,8 @@ func VStackWith[T Element](ws *compute.Workspace, a, b *GDense[T]) *GDense[T] {
 }
 
 // TWith copies the transpose of m into a matrix borrowed from ws.
-func TWith[T Element](ws *compute.Workspace, m *GDense[T]) *GDense[T] {
-	t := GetDenseRawOf[T](ws, m.C, m.R)
+func TWith(ws *compute.Workspace, m *Dense) *Dense {
+	t := GetDenseRaw(ws, m.C, m.R)
 	const bs = 64
 	ms := m.RowStride()
 	for ii := 0; ii < m.R; ii += bs {

@@ -1,10 +1,9 @@
 // Package server is the streaming ingestion service around the I-mrDMD
 // analyzer: a long-running HTTP server holding a registry of per-tenant
 // incremental analyzers that many dashboards stream against concurrently.
-// Each tenant picks its own analysis options — including the Precision
-// fidelity knob — while every tenant's kernels run on one
-// bounded compute engine, so the process's concurrency is Workers-shaped
-// no matter how many tenants register. Chunked CSV/JSON ingest feeds the
+// Each tenant picks its own analysis options while every tenant's kernels
+// run on one bounded compute engine, so the process's concurrency is
+// Workers-shaped no matter how many tenants register. Chunked CSV/JSON ingest feeds the
 // stream plumbing (stream.Source → stream.Feeder), and the snapshot
 // endpoints expose the internal/codec state serialization that lets a
 // tenant survive process restarts or migrate between servers. See

@@ -258,8 +258,8 @@ func TestServerRejects(t *testing.T) {
 
 // TestServerConcurrentTenantsSnapshotRestore is the server acceptance
 // scenario, run under -race in CI: two tenants with independent Options
-// (float64 vs mixed precision) ingest
-// concurrently against one engine; both are snapshotted, the process
+// (one created with the legacy "mixed" precision, which runs the float64
+// path) ingest concurrently against one engine; both are snapshotted, the process
 // "restarts" (a fresh Server), both restore and continue streaming; the
 // final spectra must match uninterrupted reference runs to 1e-12.
 func TestServerConcurrentTenantsSnapshotRestore(t *testing.T) {
@@ -282,7 +282,7 @@ func TestServerConcurrentTenantsSnapshotRestore(t *testing.T) {
 		},
 		"gpu-mixed": {
 			data: bench.GPUData(p, total, 1),
-			opts: TenantOptions{DT: 1, MaxLevels: 3, MaxCycles: 2, UseSVHT: true, Parallel: true, BlockColumns: 8, Precision: core.PrecisionMixed, InitialCols: seed},
+			opts: TenantOptions{DT: 1, MaxLevels: 3, MaxCycles: 2, UseSVHT: true, Parallel: true, BlockColumns: 8, Precision: "mixed", InitialCols: seed},
 			body: "json",
 		},
 	}
@@ -403,6 +403,37 @@ func TestServerLegacyShardsOption(t *testing.T) {
 	}
 	if st.Steps != 768 || st.Options.Shards != 0 {
 		t.Fatalf("legacy tenant stats: steps %d, options %+v", st.Steps, st.Options)
+	}
+}
+
+// TestServerLegacyPrecisionOption: tenant configurations written when a
+// float32 screening tier existed still create tenants. "mixed" and
+// "float64" are ignored — the tenant streams bit-identically to a
+// float64 reference — while a tier no release offered stays rejected.
+func TestServerLegacyPrecisionOption(t *testing.T) {
+	data := bench.SCLogData(48, 768, 1)
+	s := New(Config{Workers: 4, DefaultInitialCols: 512})
+	c := newTestClient(t, s)
+
+	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"dt":20,"precision":"float16"}`), http.StatusBadRequest)
+	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"dt":20,"precision":"Mixed"}`), http.StatusBadRequest)
+
+	ref := referenceAnalyzer(t, data, TenantOptions{DT: 20, MaxLevels: 3, MaxCycles: 2, UseSVHT: true, BlockColumns: 8}, 512, 128, 768)
+	for _, precision := range []string{"mixed", "float64"} {
+		id := "legacy-" + precision
+		opts := []byte(`{"dt":20,"max_levels":3,"max_cycles":2,"use_svht":true,"block_columns":8,"precision":"` + precision + `"}`)
+		c.must("POST", "/v1/tenants/"+id, "application/json", opts, http.StatusCreated)
+		c.must("POST", "/v1/tenants/"+id+"/ingest", "text/csv", csvBody(t, data, 0, 640), http.StatusOK)
+		c.must("POST", "/v1/tenants/"+id+"/ingest", "text/csv", csvBody(t, data, 640, 768), http.StatusOK)
+		spectraMatch(t, id, c.must("GET", "/v1/tenants/"+id+"/spectrum", "", nil, http.StatusOK), ref, 0)
+
+		var st TenantStatus
+		if err := json.Unmarshal(c.must("GET", "/v1/tenants/"+id+"/stats", "", nil, http.StatusOK), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Steps != 768 || st.Options.Precision != "" {
+			t.Fatalf("%s tenant stats: steps %d, options %+v", id, st.Steps, st.Options)
+		}
 	}
 }
 

@@ -16,20 +16,23 @@ import (
 )
 
 // TenantOptions is the JSON configuration a tenant is created with — the
-// per-tenant knobs of the analyzer (the Precision tier rides here) plus
-// the seed width. Workers is deliberately absent: every tenant's kernels
+// per-tenant knobs of the analyzer plus the seed width. Workers is deliberately absent: every tenant's kernels
 // run on the server's one bounded engine, which is what keeps N tenants
 // from spawning N worker pools.
 type TenantOptions struct {
-	DT             float64 `json:"dt,omitempty"`
-	MaxLevels      int     `json:"max_levels,omitempty"`
-	MaxCycles      int     `json:"max_cycles,omitempty"`
-	NyquistFactor  int     `json:"nyquist_factor,omitempty"`
-	Rank           int     `json:"rank,omitempty"`
-	UseSVHT        bool    `json:"use_svht,omitempty"`
-	MinWindow      int     `json:"min_window,omitempty"`
-	Parallel       bool    `json:"parallel,omitempty"`
-	BlockColumns   int     `json:"block_columns,omitempty"`
+	DT            float64 `json:"dt,omitempty"`
+	MaxLevels     int     `json:"max_levels,omitempty"`
+	MaxCycles     int     `json:"max_cycles,omitempty"`
+	NyquistFactor int     `json:"nyquist_factor,omitempty"`
+	Rank          int     `json:"rank,omitempty"`
+	UseSVHT       bool    `json:"use_svht,omitempty"`
+	MinWindow     int     `json:"min_window,omitempty"`
+	Parallel      bool    `json:"parallel,omitempty"`
+	BlockColumns  int     `json:"block_columns,omitempty"`
+	// Precision is accepted so configurations written when a float32
+	// screening tier existed still create tenants: "", "float64" and
+	// "mixed" are ignored (every tenant runs the one float64 path), any
+	// other value is rejected.
 	Precision      string  `json:"precision,omitempty"`
 	DriftThreshold float64 `json:"drift_threshold,omitempty"`
 	AsyncRecompute bool    `json:"async_recompute,omitempty"`
@@ -61,7 +64,6 @@ func (o TenantOptions) toCore(eng *compute.Engine) core.Options {
 		MinWindow:       o.MinWindow,
 		Parallel:        o.Parallel,
 		BlockColumns:    o.BlockColumns,
-		Precision:       o.Precision,
 		DriftWindow:     o.DriftWindow,
 		AmplitudeWindow: o.AmplitudeWindow,
 		ColdHorizon:     o.ColdHorizon,
@@ -117,6 +119,10 @@ func newTenant(id string, opts TenantOptions, eng *compute.Engine, defaultInitia
 		return nil, fmt.Errorf("server: options.shards must be >= 0, got %d", opts.Shards)
 	}
 	opts.Shards = 0
+	if !core.KnownPrecision(opts.Precision) {
+		return nil, fmt.Errorf("server: unknown options.precision %q (float64 is the only tier; \"mixed\" is accepted as float64)", opts.Precision)
+	}
+	opts.Precision = ""
 	copts := opts.toCore(eng)
 	if err := copts.Validate(); err != nil {
 		return nil, err
@@ -154,7 +160,6 @@ func restoreTenant(id string, r io.Reader, eng *compute.Engine) (*tenant, error)
 		MinWindow:       copts.MinWindow,
 		Parallel:        copts.Parallel,
 		BlockColumns:    copts.BlockColumns,
-		Precision:       copts.Precision,
 		DriftWindow:     copts.DriftWindow,
 		AmplitudeWindow: copts.AmplitudeWindow,
 		ColdHorizon:     copts.ColdHorizon,
